@@ -3,9 +3,7 @@
  * Protocol face-off: the paper's full small-multiprocessor evaluation
  * on the three workloads (Sections 4-5), printed exhibit by exhibit.
  *
- * Usage: protocol_faceoff [--full]
- *   --full  use full-size (~3.2M reference) traces as in the paper;
- *           default is quarter-size for a fast run.
+ * Run with --help for the options.
  */
 
 #include <cstring>
@@ -20,8 +18,26 @@ main(int argc, char **argv)
 {
     using namespace dirsim;
 
-    const bool full_size =
-        argc > 1 && std::strcmp(argv[1], "--full") == 0;
+    const char *const usage =
+        "Usage: protocol_faceoff [--full]\n"
+        "  --full     use full-size (~3.2M reference) traces as in the\n"
+        "             paper; default is quarter-size for a fast run\n"
+        "  -h, --help print this help and exit\n";
+    bool full_size = false;
+    for (int a = 1; a < argc; ++a) {
+        if (std::strcmp(argv[a], "--help") == 0 ||
+            std::strcmp(argv[a], "-h") == 0) {
+            std::cout << usage;
+            return 0;
+        }
+        if (std::strcmp(argv[a], "--full") != 0) {
+            std::cerr << "error: unexpected argument '" << argv[a]
+                      << "'\n"
+                      << usage;
+            return 2;
+        }
+        full_size = true;
+    }
 
     const auto workloads = gen::standardWorkloads(full_size);
     std::cout << analysis::table3(

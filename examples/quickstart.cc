@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 
 #include "analysis/evaluation.hh"
@@ -17,9 +18,22 @@
 #include "gen/workloads.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace dirsim;
+
+    const char *const usage = "Usage: quickstart [-h|--help]\n"
+                              "  Takes no arguments.\n";
+    if (argc > 1) {
+        if (std::strcmp(argv[1], "--help") == 0 ||
+            std::strcmp(argv[1], "-h") == 0) {
+            std::cout << usage;
+            return 0;
+        }
+        std::cerr << "error: unexpected argument '" << argv[1] << "'\n"
+                  << usage;
+        return 2;
+    }
 
     // A quarter-size pops-like workload keeps this instant.
     gen::WorkloadConfig cfg = gen::popsConfig();

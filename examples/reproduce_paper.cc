@@ -6,37 +6,7 @@
  * directory, so the whole paper can be regenerated (and plotted) with
  * a single command.
  *
- * Usage: reproduce_paper [outdir] [--full] [--jobs N]
- *   outdir   defaults to ./results
- *   --full   full-size (~3.2M reference) traces
- *   --jobs N fan simulation sweeps out over N worker threads
- *            (0 = one per hardware thread; default 1 = serial);
- *            parallel runs are bit-identical to serial ones
- *   --trace-cache-dir PATH    persist prepared traces as out-of-core
- *            store files under PATH and replay them streamed; a
- *            second run (even in another process) reuses the files
- *            and skips all generate/prepare work
- *   --trace-cache-budget MiB  disk-cache byte budget (default 4096)
- *   --stream-chunk-refs N     refs per streamed chunk (default
- *            1048576; smaller = lower replay RSS)
- *   --repo-stats   print trace-repository hit/miss/spill counters
- *            at the end of the run
- *   --no-fused     replay each scheme in its own sequential pass
- *            instead of the fused multi-scheme column walk (A/B
- *            hatch; exhibits are bit-identical either way)
- *   --no-multi     run each DiriNB configuration in its own
- *            LimitedEngine instead of collapsing a sweep's pointer
- *            counts into one shared-table MultiLimitedEngine (A/B
- *            hatch; exhibits are bit-identical either way)
- *   --schemes CSV  restrict the Section 6 DiriNB pointer sweep to
- *            the named configurations (dir1nb..dir8nb, in the order
- *            given); an unknown name is a hard error
- *   --no-direct-gen  build prepared traces through the legacy
- *            generateTrace + two-phase decode instead of the
- *            single-pass direct generate-prepare pipeline (A/B
- *            hatch; exhibits are bit-identical either way)
- *   --gen-chunk-refs N  data references per direct-pipeline pack
- *            chunk (default 65536)
+ * Run with --help for the options.
  */
 
 #include <chrono>
@@ -65,6 +35,48 @@ using namespace dirsim;
 
 std::filesystem::path outDir;
 
+const char *const kUsage =
+    "Usage: reproduce_paper [outdir] [options]\n"
+    "  outdir   defaults to ./results\n"
+    "  --full   full-size (~3.2M reference) traces\n"
+    "  --jobs N fan simulation sweeps out over N worker threads\n"
+    "           (0 = one per hardware thread; default 1 = serial);\n"
+    "           parallel runs are bit-identical to serial ones\n"
+    "  --trace-cache-dir PATH    persist prepared traces as out-of-core\n"
+    "           store files under PATH and replay them streamed; a\n"
+    "           second run (even in another process) reuses the files\n"
+    "           and skips all generate/prepare work\n"
+    "  --trace-cache-budget MiB  disk-cache byte budget (default 4096)\n"
+    "  --stream-chunk-refs N     refs per streamed chunk (default\n"
+    "           1048576; smaller = lower replay RSS)\n"
+    "  --repo-stats   print trace-repository hit/miss/spill counters\n"
+    "           at the end of the run\n"
+    "  --no-fused     replay each scheme in its own sequential pass\n"
+    "           instead of the fused multi-scheme column walk (A/B\n"
+    "           hatch; exhibits are bit-identical either way)\n"
+    "  --no-multi     run each DiriNB configuration in its own\n"
+    "           LimitedEngine instead of collapsing a sweep's pointer\n"
+    "           counts into one shared-table MultiLimitedEngine (A/B\n"
+    "           hatch; exhibits are bit-identical either way)\n"
+    "  --schemes CSV  restrict the Section 6 DiriNB pointer sweep to\n"
+    "           the named configurations (dir1nb..dir8nb, in the order\n"
+    "           given); an unknown name is a hard error\n"
+    "  --no-direct-gen  build prepared traces through the legacy\n"
+    "           generateTrace + two-phase decode instead of the\n"
+    "           single-pass direct generate-prepare pipeline (A/B\n"
+    "           hatch; exhibits are bit-identical either way)\n"
+    "  --gen-chunk-refs N  data references per direct-pipeline pack\n"
+    "           chunk (default 65536)\n"
+    "  -h, --help     print this help and exit\n";
+
+/** Report a bad command line and exit 2, before any output exists. */
+[[noreturn]] void
+usageError(const std::string &why)
+{
+    std::cerr << "error: " << why << "\n" << kUsage;
+    std::exit(2);
+}
+
 void
 emit(const std::string &name, const stats::TextTable &table)
 {
@@ -92,6 +104,7 @@ main(int argc, char **argv)
     // --schemes replaces the list from the dirXnb vocabulary.
     std::vector<unsigned> sweepPointers = {1, 2, 3, 4};
     outDir = "results";
+    bool haveOutDir = false;
     const auto want = [&](int &a, const char *flag) -> const char * {
         if (a + 1 >= argc) {
             std::cerr << "error: " << flag << " requires a value\n";
@@ -100,7 +113,11 @@ main(int argc, char **argv)
         return argv[++a];
     };
     for (int a = 1; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--full") == 0) {
+        if (std::strcmp(argv[a], "--help") == 0 ||
+            std::strcmp(argv[a], "-h") == 0) {
+            std::cout << kUsage;
+            return 0;
+        } else if (std::strcmp(argv[a], "--full") == 0) {
             full_size = true;
         } else if (std::strcmp(argv[a], "--jobs") == 0) {
             jobs = cli::parseUnsigned(want(a, "--jobs"), "--jobs");
@@ -148,8 +165,15 @@ main(int argc, char **argv)
                      want(a, "--schemes"), "--schemes", allowed))
                 sweepPointers.push_back(
                     static_cast<unsigned>(name[3] - '0'));
+        } else if (argv[a][0] == '-') {
+            usageError(std::string("unknown option '") + argv[a] + "'");
+        } else if (haveOutDir) {
+            usageError(std::string("unexpected argument '") + argv[a] +
+                       "' (the output directory is already '" +
+                       outDir.string() + "')");
         } else {
             outDir = argv[a];
+            haveOutDir = true;
         }
     }
     // Every evaluation below (including the ones inside the extension

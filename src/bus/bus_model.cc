@@ -18,7 +18,6 @@ pipelinedBus(const BusPrimitives &prim)
     // Address and data issue together on the split paths.
     costs.writeWord = 1;
     costs.directoryCheck = prim.sendAddress;
-    costs.directoryOverlapsMemory = true;
     costs.invalidate = prim.invalidate;
     costs.requestAddress = prim.sendAddress;
     return costs;
@@ -40,7 +39,6 @@ nonPipelinedBus(const BusPrimitives &prim)
     costs.writeBack = prim.wordsPerBlock * prim.transferWord;
     costs.writeWord = prim.sendAddress + prim.transferWord;
     costs.directoryCheck = prim.sendAddress + prim.waitDirectory;
-    costs.directoryOverlapsMemory = true;
     costs.invalidate = prim.invalidate;
     costs.requestAddress = prim.sendAddress;
     return costs;

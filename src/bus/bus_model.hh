@@ -55,14 +55,9 @@ struct BusCosts
     unsigned writeBack = 0;
     /** Write one word through to memory or update a remote copy. */
     unsigned writeWord = 0;
-    /** Query the directory (when not overlapped). */
+    /** Query the directory.  Checks overlap a concurrent memory
+     *  access, so the cost tables charge it only on write hits. */
     unsigned directoryCheck = 0;
-    /**
-     * True when a directory check issued alongside a memory access
-     * costs no extra bus cycles (the paper overlaps them whenever a
-     * memory access is already in flight).
-     */
-    bool directoryOverlapsMemory = true;
     /** Deliver one invalidation (single or broadcast). */
     unsigned invalidate = 0;
     /**

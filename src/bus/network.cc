@@ -33,7 +33,6 @@ networkCosts(const NetworkParams &params)
     costs.writeWord = hop_cycles + 1;
     // The directory lives with the (distributed) memory home node.
     costs.directoryCheck = hop_cycles;
-    costs.directoryOverlapsMemory = true;
     costs.invalidate = hop_cycles;
     costs.requestAddress = hop_cycles;
     return costs;

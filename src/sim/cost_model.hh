@@ -19,13 +19,20 @@
  *    memory access is in flight; only standalone checks (write hits to
  *    clean blocks) are charged.
  *
+ * What every scheme puts on the bus for every event is written once,
+ * as data: the ChargeTable below (defined in cost_model.cc).  Three
+ * consumers evaluate it — computeCost (per-reference doubles),
+ * timing::staticBusCycles (whole-run integers) and
+ * timing::TransactionModel (one reference at a time on the timed
+ * bus) — so they agree by construction.
+ *
  * Per-scheme charging (pipelined-bus cycles in parentheses):
  *
  *  Dir1NB / DiriNB:  rm/wm clean: memory access (5) + displacement
  *    invalidate (1) when a pointer had to be freed; rm/wm dirty:
  *    request (1) + invalidate (1) + write-back (4); write hits free
  *    for i = 1, directory check + directed invalidates for i >= 2.
- *  Dir0B:  rm clean: 5; rm dirty: dir-check (1) + write-back (4);
+ *  Dir0B:  rm clean: 5; rm dirty: request (1) + write-back (4);
  *    wm clean: 5 + broadcast invalidate (1); wm dirty: 1 + 4 + 1;
  *    wh clean: dir check (1) + broadcast invalidate (1) unless the
  *    directory's "clean in exactly one cache" state suppresses it.
@@ -50,12 +57,19 @@
  *  Yen-Fu:  Dir0B with the standalone check on exclusive clean blocks
  *    free (the single bit answers it) but one extra bus cycle per
  *    1 -> 2 holder transition to keep single bits current.
+ *
+ * Every scheme also pays for finite-cache replacement write-backs and
+ * for directory-cache evictions (force-invalidates plus dirty-victim
+ * write-backs).
  */
 
 #ifndef DIRSIM_SIM_COST_MODEL_HH
 #define DIRSIM_SIM_COST_MODEL_HH
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bus/bus_model.hh"
 #include "coherence/results.hh"
@@ -131,6 +145,79 @@ struct CostBreakdown
 /** Human-readable scheme name ("Dir1NB", "Dir4B", ...). */
 std::string schemeName(Scheme scheme, unsigned nPointers = 1);
 
+/** @name The per-scheme bus-charge table.
+ *  @{ */
+
+/** How many times a term charges its primitive for one reference. */
+enum class Times : std::uint8_t
+{
+    Once,
+    /** k, the number of copies the reference invalidates. */
+    Copies,
+    /** k while k <= i (directed); beyond, one broadcast of b cycles
+     *  (CostOptions::broadcastCost, already in cycles). */
+    Pointers,
+};
+
+/**
+ * One term of a tenure: a bus::BusCosts primitive times a multiplier,
+ * booked under the CostBreakdown category that follows from the
+ * primitive (requestAddress is counted under memAccess).
+ */
+struct ChargeTerm
+{
+    unsigned bus::BusCosts::*op;
+    double CostBreakdown::*category;
+    Times times = Times::Once;
+};
+
+/**
+ * One bus tenure of an event: the sum of its terms.  Every such
+ * tenure is a counted transaction (transactionsPerRef, overhead q);
+ * it uses memory (the timed pipelined bus adds the off-bus memory
+ * wait) when it holds a memoryAccess term.
+ */
+using Tenure = std::vector<ChargeTerm>;
+
+/**
+ * One primitive charged per unit of an auxiliary EngineResults
+ * counter.  A counted rule is a transaction of its own; an uncounted
+ * one is extra occupancy folded into the reference's last tenure.
+ */
+struct AuxRule
+{
+    std::uint64_t coherence::EngineResults::*counter;
+    ChargeTerm term;
+    bool counted;
+};
+
+/** What one scheme puts on the bus. */
+struct ChargeTable
+{
+    /** Tenures per event, indexed by coherence::Event. */
+    std::array<std::vector<Tenure>, coherence::numEvents> events;
+    /** The scheme's own auxiliary rules, then the tail every scheme
+     *  shares (replacement and directory-cache eviction traffic). */
+    std::vector<AuxRule> aux;
+};
+
+/** The table for @p scheme at @p nPointers pointers (DiriNB with
+ *  i < 2 is Dir1NB: a single pointer makes write hits free). */
+const ChargeTable &chargeTable(Scheme scheme, unsigned nPointers);
+
+/** An EngineResults fanout histogram. */
+using Fanout = stats::Histogram coherence::EngineResults::*;
+
+/**
+ * The fanout histogram whose samples are the k of @p event's
+ * references, or nullptr where k is always 0.  Each histogram belongs
+ * to exactly one event, so a whole-run sum over it counts every
+ * sample once.
+ */
+Fanout fanoutOf(coherence::Event event);
+
+/** @} */
+
 /**
  * Cost @p scheme from an engine run.
  *
@@ -144,6 +231,18 @@ CostBreakdown computeCost(Scheme scheme,
                           const coherence::EngineResults &results,
                           const bus::BusCosts &bus,
                           const CostOptions &opts = CostOptions{});
+
+/**
+ * Whole-run bus cycles of @p scheme in exact integers: the table
+ * summed over @p results, plus @p overheadQ per counted transaction,
+ * with @p broadcastCycles as b.
+ */
+std::uint64_t integerBusCycles(Scheme scheme,
+                               const coherence::EngineResults &results,
+                               const bus::BusCosts &bus,
+                               unsigned nPointers,
+                               std::uint64_t broadcastCycles,
+                               std::uint64_t overheadQ);
 
 } // namespace dirsim::sim
 

@@ -6,9 +6,10 @@
  * bus is never *occupied*, so queueing, arbitration and processor
  * stall are invisible.  TimedBusSim replays the same per-CPU
  * reference streams the engines already consume, but issues every
- * chargeable transaction (the sim::CostModel event→cycles mapping,
- * recovered per reference by timing::TransactionModel) into a bus
- * with real occupancy, arbitrated by a pluggable discipline.
+ * chargeable transaction (a row of the sim::chargeTable that the
+ * static cost model sums, applied per reference by
+ * timing::TransactionModel) into a bus with real occupancy,
+ * arbitrated by a pluggable discipline.
  *
  * Model:
  *  - Each CPU executes its stream in simulated-time order across
@@ -28,6 +29,9 @@
  * model's total exactly (integer for integer; tests/timing_test.cc
  * enforces it for every scheme × workload × bus) — the timed
  * subsystem degenerates to the paper's published Table 5 accounting.
+ * Both sides read one table, so that test proves the per-reference
+ * dispatch sums to the aggregate; tests/cost_table_test.cc checks the
+ * table itself against an independent hand-written oracle.
  */
 
 #ifndef DIRSIM_TIMING_TIMED_BUS_HH

@@ -1,6 +1,5 @@
 #include "timing/transactions.hh"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -29,96 +28,82 @@ toCycles(double value, const char *what)
     return static_cast<std::uint32_t>(value);
 }
 
-/** Integer version of the cost model's pointerInvalCycles: directed
- *  while the copy count fits the pointers, broadcast beyond. */
-std::uint64_t
-pointerInvalCycles(const stats::Histogram &hist, unsigned limit,
-                   std::uint64_t directed, std::uint64_t broadcast)
-{
-    std::uint64_t cycles = 0;
-    for (std::size_t k = 0; k <= hist.maxValue(); ++k) {
-        const std::uint64_t n = hist.count(k);
-        if (n == 0)
-            continue;
-        cycles += k <= limit ? n * k * directed : n * broadcast;
-    }
-    return cycles;
-}
-
 } // namespace
 
 TransactionModel::TransactionModel(sim::Scheme scheme,
                                    const bus::BusCosts &bus,
                                    const sim::CostOptions &opts)
-    : _scheme(scheme), _bus(bus),
-      _nPointers(scheme == sim::Scheme::Dir1NB ? 1 : opts.nPointers),
-      _broadcastCycles(toCycles(opts.broadcastCost, "broadcastCost")),
+    : _scheme(scheme), _nPointers(opts.nPointers),
       _overheadQ(toCycles(opts.overheadQ, "overheadQ"))
 {
+    const std::uint32_t broadcast =
+        toCycles(opts.broadcastCost, "broadcastCost");
+    const sim::ChargeTable &table = sim::chargeTable(scheme, _nPointers);
+    for (std::size_t e = 0; e < coherence::numEvents; ++e) {
+        Row &row = _rows[e];
+        const sim::Fanout fanout = sim::fanoutOf(static_cast<Event>(e));
+        row.fanout = fanout == nullptr                       ? 0
+                     : fanout == &EngineResults::whClnFanout ? 1
+                                                             : 2;
+        for (const sim::Tenure &terms : table.events[e]) {
+            ResolvedTenure &tenure = row.tenures.at(row.count++);
+            for (const sim::ChargeTerm &term : terms) {
+                const std::uint32_t cycles = bus.*term.op;
+                if (term.times == sim::Times::Once) {
+                    tenure.fixed += cycles;
+                } else if (term.times == sim::Times::Copies) {
+                    tenure.perCopy += cycles;
+                } else {
+                    tenure.perPointer += cycles;
+                    tenure.broadcast += broadcast;
+                }
+                tenure.usesMemory |= term.op == &bus::BusCosts::memoryAccess;
+            }
+        }
+    }
+    for (const sim::AuxRule &rule : table.aux)
+        _aux.push_back({rule.counter, bus.*rule.term.op, rule.counted});
+    _auxCounts.assign(_aux.size(), 0);
 }
 
 void
 TransactionModel::reset()
 {
-    _prev = Snapshot{};
+    _events.fill(0);
+    _totalRefs = 0;
+    _whWeight = 0;
+    _wmWeight = 0;
+    _auxCounts.assign(_aux.size(), 0);
 }
 
 RefCharge
 TransactionModel::charge(const EngineResults &r)
 {
-    assert(r.events.totalRefs() == _prev.totalRefs + 1 &&
+    assert(r.events.totalRefs() == _totalRefs + 1 &&
            "charge() must follow exactly one engine access()");
 
     // Exactly one event is recorded per reference; find it.
     Event event = Event::NumEvents;
     for (std::size_t i = 0; i < coherence::numEvents; ++i) {
-        const auto e = static_cast<Event>(i);
-        if (r.events.count(e) != _prev.events[i]) {
-            event = e;
+        if (r.events.count(static_cast<Event>(i)) != _events[i]) {
+            event = static_cast<Event>(i);
+            ++_events[i];
             break;
         }
     }
     assert(event != Event::NumEvents);
+    ++_totalRefs;
 
-    // Deltas of the auxiliary counters the cost model reads.
-    const std::uint64_t dWhW =
-        r.whClnFanout.totalWeight() - _prev.whWeight;
-    const std::uint64_t dWmW =
-        r.wmClnFanout.totalWeight() - _prev.wmWeight;
-    const std::uint64_t dH12 = r.holderGrowth12 - _prev.holderGrowth12;
-    const std::uint64_t dDispl =
-        r.displacementInvals - _prev.displacementInvals;
-    const std::uint64_t dReplWB =
-        r.replacementWriteBacks - _prev.replacementWriteBacks;
-    const std::uint64_t dDcInv =
-        r.dirCacheEvictionInvals - _prev.dirCacheEvictionInvals;
-    const std::uint64_t dDcWB = r.dirCacheEvictionWriteBacks -
-                                _prev.dirCacheEvictionWriteBacks;
-
-    ++_prev.totalRefs;
-    ++_prev.events[static_cast<std::size_t>(event)];
-    _prev.whSamples = r.whClnFanout.totalSamples();
-    _prev.whWeight = r.whClnFanout.totalWeight();
-    _prev.wmSamples = r.wmClnFanout.totalSamples();
-    _prev.wmWeight = r.wmClnFanout.totalWeight();
-    _prev.holderGrowth12 = r.holderGrowth12;
-    _prev.displacementInvals = r.displacementInvals;
-    _prev.replacementWriteBacks = r.replacementWriteBacks;
-    _prev.dirCacheEvictionInvals = r.dirCacheEvictionInvals;
-    _prev.dirCacheEvictionWriteBacks = r.dirCacheEvictionWriteBacks;
-
-    const std::uint64_t mem = _bus.memoryAccess;
-    const std::uint64_t cache = _bus.cacheAccess;
-    const std::uint64_t wb = _bus.writeBack;
-    const std::uint64_t ww = _bus.writeWord;
-    const std::uint64_t dc = _bus.directoryCheck;
-    const std::uint64_t inv = _bus.invalidate;
-    const std::uint64_t req = _bus.requestAddress;
+    const std::uint64_t wh = r.whClnFanout.totalWeight();
+    const std::uint64_t wm = r.wmClnFanout.totalWeight();
+    const std::uint64_t copies[3] = {0, wh - _whWeight, wm - _wmWeight};
+    _whWeight = wh;
+    _wmWeight = wm;
 
     RefCharge out;
-    // Emit one tenure; counted tenures carry the overhead q the
-    // static model charges per transaction.  Zero-cycle tenures are
-    // dropped (they occupy nothing and cost nothing).
+    // Counted tenures carry the overhead q the static model charges
+    // per transaction.  Zero-cycle tenures are dropped (they occupy
+    // nothing and cost nothing).
     const auto emit = [&](std::uint64_t cycles, bool usesMemory,
                           bool counted) {
         if (counted)
@@ -128,305 +113,31 @@ TransactionModel::charge(const EngineResults &r)
         out.add(static_cast<std::uint32_t>(cycles), usesMemory,
                 counted);
     };
-    // DiriB invalidation: directed while the copies fit the pointers,
-    // broadcast beyond.
-    const auto pointerInv = [&](std::uint64_t fanout) {
-        return fanout <= _nPointers ? fanout * inv : _broadcastCycles;
-    };
 
-    switch (_scheme) {
-      case sim::Scheme::Dir1NB:
-      case sim::Scheme::DirINB:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + dWmW * inv, true, true);
-            break;
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::RmBlkDrty:
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            // A single pointer makes cached blocks exclusive by
-            // construction, so write hits are free for i = 1.
-            if (_nPointers >= 2)
-                emit(dc + dWhW * inv, false, true);
-            break;
-          default:
-            break;
-        }
-        // Pointer displacements on fills are charged but are not bus
-        // transactions of their own in the static accounting; fold
-        // them into this reference's tenure when it has one.
-        if (dDispl != 0) {
-            if (out.count != 0)
-                out.txns[out.count - 1].busCycles +=
-                    static_cast<std::uint32_t>(dDispl * inv);
-            else
-                emit(dDispl * inv, false, false);
-        }
-        break;
-
-      case sim::Scheme::Dir0B:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-            // "Clean in exactly one cache" suppresses the broadcast.
-            emit(dc, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            emit(dc + inv, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
-      case sim::Scheme::DirNNBSeq:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            // One directed message per actual copy.
-            emit(mem + dWmW * inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            emit(dc + dWhW * inv, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
-      case sim::Scheme::DirIB:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + pointerInv(dWmW), true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            emit(dc + pointerInv(dWhW), false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
-      case sim::Scheme::WTI:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmBlkDrty:
-          case Event::RmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-          case Event::WmBlkDrty:
-          case Event::WmMemory:
-            // The miss fill and the write-through are two tenures.
-            emit(mem, true, true);
-            emit(ww, false, true);
-            break;
-          case Event::WhBlkDrty:
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-          case Event::WmFirstRef:
-            // Every write goes through; snooping invalidates free.
-            emit(ww, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
-      case sim::Scheme::Dragon:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(cache, false, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + ww, true, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(cache + ww, false, true);
-            break;
-          case Event::WhDistrib:
-            emit(ww, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
-      case sim::Scheme::Berkeley:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            // The cache's own state replaces the directory probe.
-            emit(inv, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
-      case sim::Scheme::YenFu:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            emit(dc + inv, false, true);
-            break;
-          default:
-            // The single bit answers the exclusive-clean check
-            // locally: WhBlkClnExcl costs nothing.
-            break;
-        }
-        // ...but keeping single bits current costs one bus word per
-        // 1 -> 2 holder transition (its own counted transaction).
-        if (dH12 != 0)
-            emit(dH12 * ww, false, true);
-        break;
-
-      case sim::Scheme::BerkeleyOwn:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            // The owning cache supplies; no memory write-back.
-            emit(cache, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(cache + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            // No exclusivity knowledge: every clean write hit
-            // broadcasts one invalidate.
-            emit(inv, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
-      case sim::Scheme::MESI:
-        switch (event) {
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::RmBlkCln:
-            emit(cache, false, true);
-            break;
-          case Event::WmBlkCln:
-            emit(cache + inv, false, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            emit(inv, false, true);
-            break;
-          default:
-            // Exclusive-clean write hits are silent.
-            break;
-        }
-        break;
+    const Row &row = _rows[static_cast<std::size_t>(event)];
+    const std::uint64_t k = copies[row.fanout];
+    for (unsigned t = 0; t < row.count; ++t) {
+        const ResolvedTenure &tenure = row.tenures[t];
+        emit(tenure.fixed + k * tenure.perCopy +
+                 (k <= _nPointers ? k * tenure.perPointer
+                                  : tenure.broadcast),
+             tenure.usesMemory, true);
     }
 
-    // Finite-cache replacement write-backs and directory-cache
-    // eviction traffic use the bus but are not transactions of their
-    // own in the static accounting.
-    const std::uint64_t extra =
-        dReplWB * wb + dDcInv * inv + dDcWB * wb;
-    if (extra != 0) {
-        if (out.count != 0)
+    for (std::size_t a = 0; a < _aux.size(); ++a) {
+        const std::uint64_t now = r.*_aux[a].counter;
+        const std::uint64_t cycles = (now - _auxCounts[a]) * _aux[a].cycles;
+        _auxCounts[a] = now;
+        if (cycles == 0)
+            continue;
+        if (_aux[a].counted)
+            emit(cycles, false, true);
+        else if (out.count != 0)
             out.txns[out.count - 1].busCycles +=
-                static_cast<std::uint32_t>(extra);
+                static_cast<std::uint32_t>(cycles);
         else
-            emit(extra, false, false);
+            emit(cycles, false, false);
     }
-
     return out;
 }
 
@@ -434,118 +145,11 @@ std::uint64_t
 staticBusCycles(sim::Scheme scheme, const EngineResults &results,
                 const bus::BusCosts &bus, const sim::CostOptions &opts)
 {
-    const std::uint64_t bcast =
+    const std::uint64_t broadcast =
         toCycles(opts.broadcastCost, "broadcastCost");
-    const std::uint64_t q = toCycles(opts.overheadQ, "overheadQ");
-    const unsigned nPtrs =
-        scheme == sim::Scheme::Dir1NB ? 1 : opts.nPointers;
-
-    const auto c = [&](Event e) { return results.events.count(e); };
-    const std::uint64_t rm =
-        c(Event::RmBlkCln) + c(Event::RmBlkDrty) + c(Event::RmMemory);
-    const std::uint64_t wm =
-        c(Event::WmBlkCln) + c(Event::WmBlkDrty) + c(Event::WmMemory);
-    const std::uint64_t mm = c(Event::RmBlkCln) + c(Event::RmMemory) +
-                             c(Event::WmBlkCln) + c(Event::WmMemory);
-    const std::uint64_t md =
-        c(Event::RmBlkDrty) + c(Event::WmBlkDrty);
-    const std::uint64_t whCln =
-        c(Event::WhBlkClnExcl) + c(Event::WhBlkClnShared);
-    const std::uint64_t whW = results.whClnFanout.totalWeight();
-    const std::uint64_t wmW = results.wmClnFanout.totalWeight();
-
-    const std::uint64_t mem = bus.memoryAccess;
-    const std::uint64_t cache = bus.cacheAccess;
-    const std::uint64_t wb = bus.writeBack;
-    const std::uint64_t ww = bus.writeWord;
-    const std::uint64_t dc = bus.directoryCheck;
-    const std::uint64_t inv = bus.invalidate;
-    const std::uint64_t req = bus.requestAddress;
-
-    std::uint64_t cycles = 0;
-    std::uint64_t txns = 0;
-
-    switch (scheme) {
-      case sim::Scheme::Dir1NB:
-      case sim::Scheme::DirINB:
-        cycles = mm * mem + md * (req + wb + inv) +
-                 (wmW + whW + results.displacementInvals) * inv;
-        txns = rm + wm;
-        if (nPtrs >= 2) {
-            cycles += whCln * dc;
-            txns += whCln;
-        }
-        break;
-      case sim::Scheme::Dir0B:
-        cycles = mm * mem + md * (req + wb) +
-                 (c(Event::WmBlkCln) + c(Event::WmBlkDrty) +
-                  c(Event::WhBlkClnShared)) *
-                     inv +
-                 whCln * dc;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::DirNNBSeq:
-        cycles = mm * mem + md * (req + wb) +
-                 (whW + wmW + c(Event::WmBlkDrty)) * inv + whCln * dc;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::DirIB:
-        cycles = mm * mem + md * (req + wb) +
-                 pointerInvalCycles(results.whClnFanout, nPtrs, inv,
-                                    bcast) +
-                 pointerInvalCycles(results.wmClnFanout, nPtrs, inv,
-                                    bcast) +
-                 c(Event::WmBlkDrty) * inv + whCln * dc;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::WTI:
-        cycles = (rm + wm) * mem + results.events.writes() * ww;
-        txns = rm + wm + results.events.writes();
-        break;
-      case sim::Scheme::Dragon:
-        cycles = mm * mem + md * cache +
-                 (c(Event::WhDistrib) + c(Event::WmBlkCln) +
-                  c(Event::WmBlkDrty)) *
-                     ww;
-        txns = rm + wm + c(Event::WhDistrib);
-        break;
-      case sim::Scheme::Berkeley:
-        cycles = mm * mem + md * (req + wb) +
-                 (c(Event::WmBlkCln) + c(Event::WmBlkDrty) +
-                  c(Event::WhBlkClnShared)) *
-                     inv;
-        txns = rm + wm + c(Event::WhBlkClnShared);
-        break;
-      case sim::Scheme::YenFu:
-        cycles = mm * mem + md * (req + wb) +
-                 (c(Event::WmBlkCln) + c(Event::WmBlkDrty) +
-                  c(Event::WhBlkClnShared)) *
-                     inv +
-                 c(Event::WhBlkClnShared) * dc +
-                 results.holderGrowth12 * ww;
-        txns = rm + wm + c(Event::WhBlkClnShared) +
-               results.holderGrowth12;
-        break;
-      case sim::Scheme::BerkeleyOwn:
-        cycles = mm * mem + md * cache +
-                 (whCln + c(Event::WmBlkCln) + c(Event::WmBlkDrty)) *
-                     inv;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::MESI:
-        cycles = (c(Event::RmMemory) + c(Event::WmMemory)) * mem +
-                 (c(Event::RmBlkCln) + c(Event::WmBlkCln)) * cache +
-                 md * (req + wb) +
-                 (c(Event::WhBlkClnShared) + c(Event::WmBlkCln) +
-                  c(Event::WmBlkDrty)) *
-                     inv;
-        txns = rm + wm + c(Event::WhBlkClnShared);
-        break;
-    }
-
-    return cycles + results.replacementWriteBacks * wb +
-           results.dirCacheEvictionInvals * inv +
-           results.dirCacheEvictionWriteBacks * wb + txns * q;
+    return sim::integerBusCycles(scheme, results, bus, opts.nPointers,
+                                 broadcast,
+                                 toCycles(opts.overheadQ, "overheadQ"));
 }
 
 } // namespace dirsim::timing

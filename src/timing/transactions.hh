@@ -4,31 +4,34 @@
  *
  * The static cost model (sim/cost_model.hh) charges *aggregate* event
  * frequencies; a timed bus needs the charge of *each* reference at the
- * moment it executes.  TransactionModel recovers it by diffing the
- * engine's EngineResults across one access() call: exactly one event
- * is recorded per reference, and the handful of auxiliary counters the
- * cost model reads (fanout-histogram weights, displacement
- * invalidations, 1→2 holder growth, replacement write-backs) each
- * change by a knowable delta.  The per-scheme switch then mirrors
- * sim::computeCost term for term, so summing RefCharges over a run
- * reproduces the aggregate model *exactly* — in integer cycles, which
- * is what staticBusCycles() computes independently and what the
- * zero-contention equivalence test holds both sides to.
+ * moment it executes.  Both evaluate the same sim::ChargeTable.
+ * TransactionModel resolves the table against one bus and one set of
+ * cost options when it is built, then recovers each reference's event
+ * by diffing the engine's EngineResults across one access() call
+ * (exactly one event is recorded per reference, and the fanout and
+ * auxiliary counters each change by a knowable delta) and applies that
+ * event's row.
  *
- * Transaction granularity matches the cost model's transactionsPerRef
- * accounting: one bus tenure per counted transaction (a dirty-miss
- * service is one tenure covering request + invalidate + write-back; a
- * WTI write miss is two tenures, the fill and the write-through).
- * Charges with no statically-counted transaction (displacement
- * invalidates on first-reference fills, replacement write-backs) ride
- * as overhead-exempt tenures so cycle totals still match.
+ * Charge rules, in the order they are applied to one reference:
+ *  - the event's tenures, each a counted transaction carrying the
+ *    overhead q (a WTI write miss is two: the fill and the
+ *    write-through);
+ *  - the scheme's auxiliary rules, then the tail every scheme shares.
+ *    A counted rule is a tenure of its own (Yen-Fu's 1 -> 2 holder
+ *    growth); an uncounted one (displacement invalidates, replacement
+ *    write-backs, directory-cache eviction traffic) folds into the
+ *    reference's last tenure, or becomes an uncounted tenure when
+ *    there is none.
+ * Zero-cycle tenures are dropped: they occupy nothing.
  */
 
 #ifndef DIRSIM_TIMING_TRANSACTIONS_HH
 #define DIRSIM_TIMING_TRANSACTIONS_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <vector>
 
 #include "bus/bus_model.hh"
 #include "coherence/results.hh"
@@ -60,6 +63,7 @@ struct RefCharge
     void
     add(std::uint32_t cycles, bool usesMemory, bool counted)
     {
+        assert(count < txns.size());
         txns[count++] = TxnCharge{cycles, usesMemory, counted};
     }
 
@@ -95,38 +99,55 @@ class TransactionModel
     sim::Scheme scheme() const { return _scheme; }
 
   private:
-    struct Snapshot
+    /** One table tenure resolved against the bus and options:
+     *  fixed + k * perCopy + (k <= i ? k * perPointer : broadcast). */
+    struct ResolvedTenure
     {
-        std::array<std::uint64_t, coherence::numEvents> events{};
-        std::uint64_t totalRefs = 0;
-        std::uint64_t whSamples = 0;
-        std::uint64_t whWeight = 0;
-        std::uint64_t wmSamples = 0;
-        std::uint64_t wmWeight = 0;
-        std::uint64_t holderGrowth12 = 0;
-        std::uint64_t displacementInvals = 0;
-        std::uint64_t replacementWriteBacks = 0;
-        std::uint64_t dirCacheEvictionInvals = 0;
-        std::uint64_t dirCacheEvictionWriteBacks = 0;
+        std::uint32_t fixed = 0;
+        std::uint32_t perCopy = 0;
+        std::uint32_t perPointer = 0;
+        std::uint32_t broadcast = 0;
+        bool usesMemory = false;
+    };
+    /** One event's row. */
+    struct Row
+    {
+        std::array<ResolvedTenure, 2> tenures;
+        std::uint8_t count = 0;
+        /** Where k comes from: 0 none, 1 whClnFanout, 2 wmClnFanout. */
+        std::uint8_t fanout = 0;
+    };
+    /** One auxiliary rule resolved against the bus. */
+    struct Aux
+    {
+        std::uint64_t coherence::EngineResults::*counter;
+        std::uint32_t cycles;
+        bool counted;
     };
 
     sim::Scheme _scheme;
-    bus::BusCosts _bus;
     unsigned _nPointers;
-    std::uint32_t _broadcastCycles;
     std::uint32_t _overheadQ;
-    Snapshot _prev;
+    std::array<Row, coherence::numEvents> _rows;
+    std::vector<Aux> _aux;
+
+    /** @name Snapshot of the counters at the previous charge().
+     *  @{ */
+    std::array<std::uint64_t, coherence::numEvents> _events{};
+    std::uint64_t _totalRefs = 0;
+    std::uint64_t _whWeight = 0;
+    std::uint64_t _wmWeight = 0;
+    std::vector<std::uint64_t> _auxCounts;
+    /** @} */
 };
 
 /**
- * Total bus cycles of a whole run, in exact integer arithmetic — the
- * same accounting as sim::computeCost (including replacement
- * write-backs and overhead q) without the divide-by-refs that makes
- * the double version inexact.  The timed simulator's busBusyCycles
- * equals this for any run of the matching engine; dividing by
- * totalRefs() recovers computeCost().total() to floating-point
- * precision.  Throws std::invalid_argument on non-integer
- * broadcastCost/overheadQ.
+ * Total bus cycles of a whole run in exact integer arithmetic: the
+ * charge table summed over @p results, with overhead q per counted
+ * transaction.  The timed simulator's busBusyCycles equals this for
+ * any run of the matching engine; dividing by totalRefs() recovers
+ * computeCost().total() to floating-point precision.  Throws
+ * std::invalid_argument on non-integer broadcastCost/overheadQ.
  */
 std::uint64_t
 staticBusCycles(sim::Scheme scheme,

@@ -37,7 +37,6 @@ TEST(PipelinedBusTest, MatchesTable2)
     EXPECT_EQ(costs.directoryCheck, 1u);
     EXPECT_EQ(costs.invalidate, 1u);
     EXPECT_EQ(costs.requestAddress, 1u);
-    EXPECT_TRUE(costs.directoryOverlapsMemory);
 }
 
 TEST(NonPipelinedBusTest, MatchesTable2)

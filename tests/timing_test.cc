@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bus/bus_model.hh"
@@ -25,6 +26,7 @@
 #include "coherence/limited_engine.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
+#include "mem/set_assoc.hh"
 #include "sim/cost_model.hh"
 #include "sim/simulator.hh"
 #include "timing/arbiter.hh"
@@ -321,10 +323,29 @@ fourCpuWorkload()
     return cfg;
 }
 
+/** An invalidation engine with small two-way set-associative caches,
+ *  so replacements (and dirty write-backs) happen often. */
+std::unique_ptr<coherence::CoherenceEngine>
+finiteInvalEngine(unsigned units)
+{
+    coherence::InvalEngineConfig cfg;
+    cfg.nUnits = units;
+    cfg.cacheFactory = [] {
+        mem::CacheGeometry geometry;
+        geometry.capacityBytes = 4 * 1024;
+        geometry.blockBytes = 16;
+        geometry.ways = 2;
+        return std::make_unique<mem::SetAssocTagStore>(geometry);
+    };
+    return std::make_unique<coherence::InvalEngine>(cfg);
+}
+
 /**
  * Bus-busy cycles equal the static aggregate of *this run's* engine
  * statistics at any CPU count — per-reference charges sum to the
- * whole-run total no matter how the streams interleave.
+ * whole-run total no matter how the streams interleave.  Besides each
+ * scheme's own engine, every invalidation-kind scheme also runs on
+ * finite caches, whose replacement write-backs fold into tenures.
  */
 TEST(ContentionTest, BusCyclesMatchStaticAggregateAtAnyCpuCount)
 {
@@ -333,11 +354,27 @@ TEST(ContentionTest, BusCyclesMatchStaticAggregateAtAnyCpuCount)
     const std::vector<timing::TimedBusModel> buses = {
         timing::timedPipelinedBus(), timing::timedNonPipelinedBus()};
 
+    std::vector<std::pair<sim::Scheme, bool>> inputs;
     for (const sim::Scheme scheme : allSchemes) {
+        inputs.emplace_back(scheme, false);
+        if (sim::engineKindFor(scheme) == sim::EngineKind::Inval)
+            inputs.emplace_back(scheme, true);
+    }
+    for (const auto &[scheme, finite] : inputs) {
         for (const auto &bus : buses) {
-            const timing::TimedRun run =
-                runTimed(timedConfig(scheme, bus), workload);
-            const std::string label = run.scheme + " / " + run.bus;
+            timing::TimedRun run;
+            if (finite) {
+                timing::TimedBusSim sim(timedConfig(scheme, bus),
+                                        finiteInvalEngine(
+                                            workload.space.nProcesses));
+                gen::WorkloadSource source(workload);
+                run = sim.run(source);
+                EXPECT_GT(run.engine.replacementWriteBacks, 0u);
+            } else {
+                run = runTimed(timedConfig(scheme, bus), workload);
+            }
+            const std::string label = run.scheme + " / " + run.bus +
+                                      (finite ? " / finite" : "");
 
             EXPECT_EQ(run.nCpus, 4u) << label;
             EXPECT_EQ(run.busBusyCycles,
