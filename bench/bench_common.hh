@@ -10,10 +10,10 @@
  *
  * Benches that run simulation sweeps take a `--jobs N` knob (parsed
  * and stripped by parseJobs() before google-benchmark sees argv):
- * N > 1 fans the protocol×workload matrix out over a sim::SweepRunner
- * with N worker threads, N = 0 uses one thread per hardware thread,
- * and the default of 1 keeps the serial single-pass path.  Parallel
- * results are bit-identical to serial ones; sweepTimingReport()
+ * the protocol×workload matrix runs on a sim::SweepRunner with N
+ * worker threads (default 1), N = 0 uses one thread per hardware
+ * thread.  Parallel results are bit-identical to serial ones;
+ * sweepTimingReport()
  * prints the wall-clock comparison.
  */
 

@@ -23,9 +23,10 @@
  *
  * `--sweep` switches to an end-to-end campaign measurement instead:
  * the fig2/fig3-style evaluation (standard engines, DiriNB pointer
- * sweep, Berkeley) runs once with prepared traces disabled and once
- * through the sim::TraceRepository, and BENCH_sweep.json records the
- * wall clocks, the decode-vs-replay split and the speedup.
+ * sweep, Berkeley) runs once as raw sweep plans that regenerate each
+ * workload per stage, and once through the analysis layer over the
+ * sim::TraceRepository; BENCH_sweep.json records the wall clocks,
+ * the decode-vs-replay split and the speedup.
  *
  * Flags:
  *   --refs N       trace length (default 2,000,000; ignored by --sweep,
@@ -39,12 +40,6 @@
  *                  (default 0 = disabled)
  *   --sweep        measure the end-to-end campaign instead of
  *                  single-engine replay
- *   --no-fused     sequential whole-stream replay per engine instead
- *                  of the fused multi-scheme column walk (A/B hatch;
- *                  results are bit-identical either way)
- *   --no-multi     independent LimitedEngines for the DiriNB row
- *                  instead of the shared-table multi-configuration
- *                  engine (A/B hatch; bit-identical either way)
  *   --multi-floor R  fail (exit 1) if the multi-configuration row's
  *                  speedup over the independent DiriNB engines falls
  *                  below R (sweep mode; default 0 = disabled)
@@ -103,6 +98,7 @@
 #include "gen/direct_prepare.hh"
 #include "sim/fused_replay.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 #include "sim/trace_repo.hh"
 #include "timing/timed_bus.hh"
 #include "trace/prepared.hh"
@@ -128,8 +124,6 @@ struct Options
     std::uint64_t traceCacheBudgetMiB = 4096;
     std::uint64_t streamChunkRefs = trace::kDefaultChunkRefs;
     bool repoStats = false;
-    bool fused = true;
-    bool multi = true;
     double multiFloor = 0.0;
     bool directGen = true;
     std::uint64_t genChunkRefs = 0; //!< 0 = pipeline default.
@@ -192,10 +186,6 @@ parseOptions(int argc, char **argv)
                 1, 1u << 31);
         } else if (std::strcmp(argv[a], "--repo-stats") == 0) {
             opts.repoStats = true;
-        } else if (std::strcmp(argv[a], "--no-fused") == 0) {
-            opts.fused = false;
-        } else if (std::strcmp(argv[a], "--no-multi") == 0) {
-            opts.multi = false;
         } else if (std::strcmp(argv[a], "--multi-floor") == 0) {
             opts.multiFloor = cli::parseDoubleInRange(
                 want("--multi-floor"), "--multi-floor", 0.0,
@@ -218,7 +208,6 @@ parseOptions(int argc, char **argv)
                       << "usage: bench_hotpath [--refs N] [--reps N] "
                          "[--out PATH] [--floor R] [--sweep] "
                          "[--schemes CSV] [--no-reserve] "
-                         "[--no-fused] [--no-multi] "
                          "[--multi-floor R] [--no-direct-gen] "
                          "[--gen-chunk-refs N] [--cold-floor R] "
                          "[--trace-cache-dir PATH] "
@@ -527,6 +516,63 @@ campaignEngines(unsigned units,
     return makers;
 }
 
+/**
+ * The raw baseline the --floor gate divides by: the campaign of
+ * runCampaign() with no trace repository.  Each analysis call
+ * (evaluateWorkloads, limitedSweep {1,2,4,8}, berkeleyResults)
+ * becomes one single-worker sweep plan shaped the way the analysis
+ * layer plans it: one fusion group per workload, with the DiriNB
+ * cells marked for the multi-configuration collapse.  Each group
+ * replays a freshly generated gen::WorkloadSource, so every workload
+ * is generated and decoded three times, as every caller did before
+ * the repository existed.  Returns the number of points run.
+ */
+unsigned
+runRawCampaign(const std::vector<gen::WorkloadConfig> &cfgs)
+{
+    const std::vector<std::vector<std::string>> calls = {
+        {"inval", "dir1nb", "dragon"},
+        {"dir1nb", "dir2nb", "dir4nb", "dir8nb"},
+        {"berkeley"},
+    };
+    std::size_t points = 0;
+    for (const std::vector<std::string> &schemes : calls) {
+        sim::SweepRunner runner(1);
+        for (std::size_t c = 0; c < cfgs.size(); ++c) {
+            const unsigned units = cfgs[c].space.nProcesses;
+            for (const auto &[name, make] :
+                 campaignEngines(units, schemes)) {
+                sim::SweepPoint point;
+                point.name = cfgs[c].name;
+                point.sim.expectedBlocks =
+                    gen::expectedUniqueBlocks(cfgs[c].space);
+                point.fuseKey = "workload#" + std::to_string(c);
+                if (name.rfind("dir", 0) == 0)
+                    point.multiPointers = static_cast<unsigned>(
+                        std::stoul(name.substr(3)));
+                point.multiUnits = units;
+                point.engines = [make] {
+                    std::vector<
+                        std::unique_ptr<coherence::CoherenceEngine>>
+                        engines;
+                    engines.push_back(make());
+                    return engines;
+                };
+                point.source = [cfg = cfgs[c]] {
+                    return std::make_unique<gen::WorkloadSource>(cfg);
+                };
+                runner.add(std::move(point));
+            }
+        }
+        const std::vector<sim::SweepPointResult> results = runner.run();
+        // Keep the results alive so the optimiser cannot elide a run.
+        if (results.empty() || results.front().refs == 0)
+            std::cerr << "warning: raw campaign produced empty results\n";
+        points += results.size();
+    }
+    return static_cast<unsigned>(points);
+}
+
 /** The DiriNB pointer counts the scheme filter keeps, sweep order. */
 std::vector<unsigned>
 filteredLanePointers(const std::vector<std::string> &schemeFilter)
@@ -544,16 +590,14 @@ filteredLanePointers(const std::vector<std::string> &schemeFilter)
 
 /**
  * Time each campaign scheme's replay over the (already warm) prepared
- * traces: one fused pass per workload with per-engine clocks, or —
- * with the --no-fused hatch — one sequential pass per engine.  The
+ * traces: one fused pass per workload with per-engine clocks.  The
  * campaign timings above measure end-to-end walls; this pass
  * attributes pure replay time to each scheme so a regression in one
  * protocol's hot path is visible in the JSON, not averaged away.
  */
 std::vector<SchemeResult>
 runSchemeAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
-                     const trace::PrepareOptions &prep, bool fused,
-                     unsigned reps,
+                     const trace::PrepareOptions &prep, unsigned reps,
                      const std::vector<std::string> &schemeFilter)
 {
     std::vector<SchemeResult> schemes;
@@ -583,23 +627,12 @@ runSchemeAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
             }
             sim::FusedReplayOptions fr;
             fr.timeEngines = true;
-            if (fused) {
-                trace::PreparedTraceSpans spans(*prepared);
-                const sim::FusedReplayRun run =
-                    sim::FusedReplay(fr).run(spans, ptrs);
-                for (std::size_t e = 0; e < ptrs.size(); ++e) {
-                    pass[e].seconds += run.engineSeconds[e];
-                    pass[e].refs += run.totalRefs();
-                }
-            } else {
-                fr.stripRefs = 0;
-                for (std::size_t e = 0; e < ptrs.size(); ++e) {
-                    trace::PreparedTraceSpans spans(*prepared);
-                    const sim::FusedReplayRun run =
-                        sim::FusedReplay(fr).run(spans, {ptrs[e]});
-                    pass[e].seconds += run.engineSeconds[0];
-                    pass[e].refs += run.totalRefs();
-                }
+            trace::PreparedTraceSpans spans(*prepared);
+            const sim::FusedReplayRun run =
+                sim::FusedReplay(fr).run(spans, ptrs);
+            for (std::size_t e = 0; e < ptrs.size(); ++e) {
+                pass[e].seconds += run.engineSeconds[e];
+                pass[e].refs += run.totalRefs();
             }
         }
         if (schemes.empty()) {
@@ -837,10 +870,8 @@ runSweepMode(const Options &opts)
 
     // Raw pass: regenerate and re-decode every workload per stage,
     // as every caller did before the trace repository existed.
-    analysis::EvalOptions raw;
-    raw.usePreparedTraces = false;
     bench::WallTimer rawTimer;
-    const unsigned points = runCampaign(cfgs, raw);
+    const unsigned points = runRawCampaign(cfgs);
     const double rawSeconds = rawTimer.seconds();
     std::cout << "  raw: " << points << " points in " << rawSeconds
               << " s\n";
@@ -879,20 +910,20 @@ runSweepMode(const Options &opts)
               << repo.buildCount() << " repository builds)\n";
 
     // Per-scheme replay attribution over the now-warm repository.
-    const std::vector<SchemeResult> schemes = runSchemeAttribution(
-        cfgs, prep, opts.fused, opts.reps, opts.schemes);
+    const std::vector<SchemeResult> schemes =
+        runSchemeAttribution(cfgs, prep, opts.reps, opts.schemes);
     for (const SchemeResult &s : schemes)
         std::cout << "  "
                   << bench::throughputLine(s.name, s.refs, s.seconds)
                   << "\n";
 
     // Multi-configuration pass: the same DiriNB row collapsed into
-    // one shared-table engine.  Needs fused replay (the per-engine
-    // clocks) and at least two surviving lanes to be a collapse.
+    // one shared-table engine.  Needs at least two surviving lanes to
+    // be a collapse.
     MultiRowResult multi;
     const std::vector<unsigned> lanes =
         filteredLanePointers(opts.schemes);
-    if (opts.fused && opts.multi && lanes.size() >= 2) {
+    if (lanes.size() >= 2) {
         multi = runMultiAttribution(cfgs, prep, opts.reps, lanes,
                                     opts.schemes);
         multi.enabled = true;
@@ -967,7 +998,6 @@ runSweepMode(const Options &opts)
        << ",\n";
     os << "  \"repository_builds\": " << repo.buildCount() << ",\n";
     os << "  \"peak_rss_kb\": " << peakRssKb() << ",\n";
-    os << "  \"fused\": " << (opts.fused ? "true" : "false") << ",\n";
     os << "  \"schemes\": [\n";
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const SchemeResult &s = schemes[i];
@@ -975,13 +1005,10 @@ runSweepMode(const Options &opts)
            << "\"refs\": " << s.refs << ", "
            << "\"seconds\": " << s.seconds << ", "
            << "\"refs_per_sec\": "
-           << static_cast<std::uint64_t>(s.refsPerSec) << ", "
-           << "\"fused\": " << (opts.fused ? "true" : "false") << "}"
+           << static_cast<std::uint64_t>(s.refsPerSec) << "}"
            << (i + 1 < schemes.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
-    os << "  \"multiConfig\": " << (multi.enabled ? "true" : "false")
-       << ",\n";
     os << "  \"multi_config\": {\"enabled\": "
        << (multi.enabled ? "true" : "false") << ", "
        << "\"lanes\": " << multi.lanes.size() << ", "
@@ -1085,10 +1112,6 @@ main(int argc, char **argv)
         sim::TraceRepository::global().setDiskCache(disk);
         analysis::setDefaultStreamReplay(true);
     }
-    if (!opts.fused)
-        analysis::setDefaultFusedReplay(false);
-    if (!opts.multi)
-        analysis::setDefaultMultiConfig(false);
     if (opts.sweep)
         return runSweepMode(opts);
 
@@ -1100,8 +1123,6 @@ main(int argc, char **argv)
     if (opts.reserve)
         simCfg.expectedBlocks =
             gen::expectedUniqueBlocks(workload.space);
-    if (!opts.fused)
-        simCfg.replayStripRefs = 0; // Whole-span prepared replay.
 
     std::cout << "bench_hotpath: workload=" << workload.name
               << " refs=" << opts.refs << " reps=" << opts.reps

@@ -14,13 +14,12 @@
  *      stall table showing fixed priority starving the high-index
  *      CPUs while FCFS and round-robin spread the wait.
  *
- * Usage: contention_study [maxCpus] [refsPerCpu]
- *        (maxCpus in [2, 32], default 8; refsPerCpu in
- *        [1000, 1000000], default 20000)
+ * Run with --help for the options.
  */
 
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cli/parse.hh"
@@ -66,13 +65,22 @@ main(int argc, char **argv)
 {
     using namespace dirsim;
 
+    const char *const usage =
+        "Usage: contention_study [maxCpus] [refsPerCpu]\n"
+        "  maxCpus     largest machine, 2..32 (default 8)\n"
+        "  refsPerCpu  references per CPU, 1000..1000000\n"
+        "              (default 20000)\n"
+        "  -h, --help  print this help and exit\n";
+    const std::vector<std::string> args =
+        cli::positionalArgs(argc, argv, usage, 2);
     unsigned max_cpus = 8;
     std::uint64_t refs_per_cpu = 20'000;
-    if (argc > 1)
-        max_cpus = cli::parseUnsignedInRange(argv[1], "maxCpus", 2, 32);
-    if (argc > 2)
+    if (args.size() > 0)
+        max_cpus =
+            cli::parseUnsignedInRange(args[0].c_str(), "maxCpus", 2, 32);
+    if (args.size() > 1)
         refs_per_cpu = cli::parseUnsignedInRange(
-            argv[2], "refsPerCpu", 1'000, 1'000'000);
+            args[1].c_str(), "refsPerCpu", 1'000, 1'000'000);
 
     const auto pipe = timing::timedPipelinedBus();
     const auto nonpipe = timing::timedNonPipelinedBus();

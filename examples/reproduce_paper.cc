@@ -39,9 +39,10 @@ const char *const kUsage =
     "Usage: reproduce_paper [outdir] [options]\n"
     "  outdir   defaults to ./results\n"
     "  --full   full-size (~3.2M reference) traces\n"
-    "  --jobs N fan simulation sweeps out over N worker threads\n"
-    "           (0 = one per hardware thread; default 1 = serial);\n"
-    "           parallel runs are bit-identical to serial ones\n"
+    "  --jobs N worker threads for the simulation sweeps (0 = one\n"
+    "           per hardware thread; default 1); every scheme of a\n"
+    "           trace replays in one fused pass at any job count, and\n"
+    "           the exhibits are bit-identical at any job count\n"
     "  --trace-cache-dir PATH    persist prepared traces as out-of-core\n"
     "           store files under PATH and replay them streamed; a\n"
     "           second run (even in another process) reuses the files\n"
@@ -51,13 +52,6 @@ const char *const kUsage =
     "           1048576; smaller = lower replay RSS)\n"
     "  --repo-stats   print trace-repository hit/miss/spill counters\n"
     "           at the end of the run\n"
-    "  --no-fused     replay each scheme in its own sequential pass\n"
-    "           instead of the fused multi-scheme column walk (A/B\n"
-    "           hatch; exhibits are bit-identical either way)\n"
-    "  --no-multi     run each DiriNB configuration in its own\n"
-    "           LimitedEngine instead of collapsing a sweep's pointer\n"
-    "           counts into one shared-table MultiLimitedEngine (A/B\n"
-    "           hatch; exhibits are bit-identical either way)\n"
     "  --schemes CSV  restrict the Section 6 DiriNB pointer sweep to\n"
     "           the named configurations (dir1nb..dir8nb, in the order\n"
     "           given); an unknown name is a hard error\n"
@@ -136,16 +130,6 @@ main(int argc, char **argv)
                 1, 1u << 31);
         } else if (std::strcmp(argv[a], "--repo-stats") == 0) {
             repoStats = true;
-        } else if (std::strcmp(argv[a], "--no-fused") == 0) {
-            // A/B escape hatch: sequential whole-stream replay per
-            // engine instead of the fused multi-scheme column walk.
-            // Results are bit-identical either way.
-            analysis::setDefaultFusedReplay(false);
-        } else if (std::strcmp(argv[a], "--no-multi") == 0) {
-            // A/B escape hatch: independent LimitedEngines instead of
-            // the shared-table multi-configuration collapse.  Results
-            // are bit-identical either way.
-            analysis::setDefaultMultiConfig(false);
         } else if (std::strcmp(argv[a], "--no-direct-gen") == 0) {
             // A/B escape hatch: the legacy two-pass cold path instead
             // of the single-pass direct generate-prepare pipeline.

@@ -14,10 +14,11 @@
  *   - directory storage per memory block for the competing
  *     organisations at that scale.
  *
- * Usage: scalability_study [maxCpus]   (default 32, power of two)
+ * Run with --help for the options.
  */
 
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "analysis/evaluation.hh"
@@ -34,9 +35,17 @@ main(int argc, char **argv)
 {
     using namespace dirsim;
 
+    const char *const usage =
+        "Usage: scalability_study [maxCpus]\n"
+        "  maxCpus    largest machine, 2..64 (default 32); the sweep\n"
+        "             doubles the CPU count from 2 up to it\n"
+        "  -h, --help print this help and exit\n";
+    const std::vector<std::string> args =
+        cli::positionalArgs(argc, argv, usage, 1);
     unsigned max_cpus = 32;
-    if (argc > 1)
-        max_cpus = cli::parseUnsignedInRange(argv[1], "maxCpus", 2, 64);
+    if (!args.empty())
+        max_cpus =
+            cli::parseUnsignedInRange(args[0].c_str(), "maxCpus", 2, 64);
 
     std::vector<unsigned> counts;
     for (unsigned n = 2; n <= max_cpus; n *= 2)

@@ -6,21 +6,14 @@
  * through trace::RefSource; this tool shows the full round trip on
  * files so recorded traces from other tools can be plugged in.
  *
- * Usage:
- *   trace_tools gen <pops|thor|pero> <out.trc> [refs]
- *       Generate a synthetic workload into a binary trace file.
- *   trace_tools info <in.trc>
- *       Print Table-3-style characteristics of a binary trace.
- *   trace_tools dump <in.trc> [n]
- *       Print the first n (default 20) records as text.
- *   trace_tools sim <in.trc>
- *       Run the four-protocol evaluation on a binary trace.
+ * Run with --help for the commands.
  */
 
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "analysis/exhibits.hh"
 #include "cli/parse.hh"
@@ -37,15 +30,25 @@ namespace
 
 using namespace dirsim;
 
-int
-usage()
+const char *const kUsage =
+    "Usage:\n"
+    "  trace_tools gen <pops|thor|pero> <out.trc> [refs]\n"
+    "      generate a synthetic workload into a binary trace file\n"
+    "  trace_tools info <in.trc>\n"
+    "      print Table-3-style characteristics of a binary trace\n"
+    "  trace_tools dump <in.trc> [n]\n"
+    "      print the first n (default 20) records as text\n"
+    "  trace_tools sim <in.trc>\n"
+    "      run the four-protocol evaluation on a binary trace\n"
+    "  trace_tools -h|--help\n"
+    "      print this help and exit\n";
+
+/** Report a bad command line and exit 2, before any output exists. */
+[[noreturn]] void
+usageError(const std::string &why)
 {
-    std::cerr << "usage:\n"
-              << "  trace_tools gen <pops|thor|pero> <out.trc> [refs]\n"
-              << "  trace_tools info <in.trc>\n"
-              << "  trace_tools dump <in.trc> [n]\n"
-              << "  trace_tools sim <in.trc>\n";
-    return 1;
+    std::cerr << "error: " << why << "\n" << kUsage;
+    std::exit(2);
 }
 
 int
@@ -60,7 +63,7 @@ cmdGen(const std::string &name, const std::string &path,
     else if (name == "pero")
         cfg = gen::peroConfig();
     else
-        return usage();
+        usageError("unknown workload '" + name + "'");
     if (refs != 0)
         cfg.totalRefs = refs;
 
@@ -159,28 +162,45 @@ cmdSim(const std::string &path)
 int
 main(int argc, char **argv)
 {
+    const std::vector<std::string> args =
+        cli::positionalArgs(argc, argv, kUsage, 4);
+    const std::string cmd = args.empty() ? "" : args[0];
+    // Require [lo, hi] arguments, the command included.
+    const auto arity = [&](std::size_t lo, std::size_t hi) {
+        if (args.size() < lo)
+            usageError("'" + cmd + "' needs more arguments");
+        if (args.size() > hi)
+            usageError("unexpected argument '" + args[hi] + "'");
+    };
     try {
-        if (argc < 3)
-            return usage();
-        const std::string cmd = argv[1];
-        if (cmd == "gen" && argc >= 4) {
+        if (cmd == "gen") {
+            arity(3, 4);
             const std::uint64_t refs =
-                argc > 4 ? cli::parseUnsigned(argv[4], "gen refs") : 0;
-            return cmdGen(argv[2], argv[3], refs);
+                args.size() > 3
+                    ? cli::parseUnsigned(args[3].c_str(), "gen refs")
+                    : 0;
+            return cmdGen(args[1], args[2], refs);
         }
-        if (cmd == "info")
-            return cmdInfo(argv[2]);
+        if (cmd == "info") {
+            arity(2, 2);
+            return cmdInfo(args[1]);
+        }
         if (cmd == "dump") {
+            arity(2, 3);
             const std::size_t n =
-                argc > 3 ? cli::parseUnsigned(argv[3], "dump count")
-                         : 20;
-            return cmdDump(argv[2], n);
+                args.size() > 2
+                    ? cli::parseUnsigned(args[2].c_str(), "dump count")
+                    : 20;
+            return cmdDump(args[1], n);
         }
-        if (cmd == "sim")
-            return cmdSim(argv[2]);
-        return usage();
+        if (cmd == "sim") {
+            arity(2, 2);
+            return cmdSim(args[1]);
+        }
     } catch (const std::exception &err) {
         std::cerr << "error: " << err.what() << "\n";
         return 1;
     }
+    usageError(cmd.empty() ? "missing command"
+                           : "unknown command '" + cmd + "'");
 }

@@ -4,18 +4,13 @@
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
-#include "coherence/multi_limited_engine.hh"
 #include "gen/workload.hh"
 #include "sim/sweep.hh"
 #include "sim/thread_pool.hh"
 #include "sim/trace_repo.hh"
-#include "trace/filter.hh"
 #include "trace/prepared.hh"
-#include "trace/trace.hh"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 
 namespace dirsim::analysis
 {
@@ -25,8 +20,6 @@ namespace
 
 unsigned defaultJobs = 1;
 bool defaultStream = false;
-bool defaultFused = true;
-bool defaultMulti = true;
 
 } // namespace
 
@@ -54,30 +47,6 @@ defaultStreamReplay()
     return defaultStream;
 }
 
-void
-setDefaultFusedReplay(bool fused)
-{
-    defaultFused = fused;
-}
-
-bool
-defaultFusedReplay()
-{
-    return defaultFused;
-}
-
-void
-setDefaultMultiConfig(bool multi)
-{
-    defaultMulti = multi;
-}
-
-bool
-defaultMultiConfig()
-{
-    return defaultMulti;
-}
-
 namespace
 {
 
@@ -99,27 +68,7 @@ simConfigFor(const gen::WorkloadConfig &cfg, const EvalOptions &opts)
     sim::SimConfig sc = opts.sim;
     if (sc.expectedBlocks == 0)
         sc.expectedBlocks = gen::expectedUniqueBlocks(cfg.space);
-    // The A/B hatch: sequential whole-stream passes per engine.
-    if (!opts.fusedReplay)
-        sc.replayStripRefs = 0;
     return sc;
-}
-
-/**
- * Run @p build-provided engines over one workload, optionally with the
- * lock-test filter, and return the simulator for result harvesting.
- */
-void
-runWorkload(const gen::WorkloadConfig &cfg, const EvalOptions &opts,
-            sim::Simulator &simulator)
-{
-    gen::WorkloadSource source(cfg);
-    if (opts.dropLockTests) {
-        trace::FilteredSource filtered = trace::dropLockTests(source);
-        simulator.run(filtered);
-    } else {
-        simulator.run(source);
-    }
 }
 
 /** Builds one engine for a given unit count. */
@@ -130,45 +79,16 @@ using EngineFactory =
  * One cell of the workload×engine matrix: the factory that builds
  * its engine, plus the multi-configuration collapse hint.  A nonzero
  * limitedPointers marks the cell as a plain DiriNB run (no directory
- * cache) with that pointer count — runMatrix may then run it as one
- * lane of a shared coherence::MultiLimitedEngine instead of invoking
- * the factory, one probe per reference for the whole pointer-count
- * row.  The factory stays the fallback (and the only path when
- * opts.multiConfig is off or the run has fewer than two such cells).
+ * cache) with that pointer count, which the sweep runner may run as
+ * one lane of a shared coherence::MultiLimitedEngine (see
+ * sim::SweepPoint::multiPointers).  The factory is the fallback when
+ * the workload carries fewer than two such cells.
  */
 struct EngineSpec
 {
     EngineFactory make;
     unsigned limitedPointers = 0;
 };
-
-/** Replays a shared trace, re-applying the lock-test filter. */
-class ReplaySource : public trace::RefSource
-{
-  public:
-    explicit ReplaySource(const trace::MemoryTrace &trace)
-        : _base(trace), _filtered(trace::dropLockTests(_base))
-    {
-    }
-
-    bool next(trace::TraceRecord &rec) override
-    {
-        return _filtered.next(rec);
-    }
-    void rewind() override { _filtered.rewind(); }
-
-  private:
-    trace::MemoryTraceSource _base;
-    trace::FilteredSource _filtered;
-};
-
-std::unique_ptr<trace::RefSource>
-replaySource(const trace::MemoryTrace &trace, bool dropLockTests)
-{
-    if (!dropLockTests)
-        return std::make_unique<trace::MemoryTraceSource>(trace);
-    return std::make_unique<ReplaySource>(trace);
-}
 
 /** Decode parameters matching this run's options: the lock-test
  *  filter folds into the decode, so the prepared stream replays with
@@ -186,21 +106,16 @@ prepareOptionsFor(const EvalOptions &opts)
 /**
  * Run a workload×engine matrix and harvest every engine's results.
  *
- * This is the one place serial and parallel evaluation meet.  With
- * opts.jobs == 1 each workload streams once through a Simulator
- * carrying all the engines (the paper's one-pass-per-trace shape).
- * With more jobs the matrix fans out over a SweepRunner: phase one
- * materialises each workload into an immutable MemoryTrace (in
- * parallel, one job per workload), phase two runs one job per
- * (workload, engine) cell, each replaying the shared trace zero-copy.
- * Both paths visit identical reference streams in identical order per
- * engine, so their results are bit-identical.
- *
- * With opts.multiConfig (the default), the DiriNB cells of a run
- * (EngineSpec::limitedPointers) collapse into one shared
- * coherence::MultiLimitedEngine — serially within each workload's
- * Simulator, in parallel within each workload's fused sweep group —
- * and each cell harvests its own lane.  Bit-identical either way.
+ * Every evaluation goes through here, at any job count.  Phase one
+ * fetches each workload's trace from sim::TraceRepository::global()
+ * — the in-memory PreparedTrace, or with opts.streamReplay the
+ * out-of-core StoredTrace — one task per workload.  Phase two
+ * submits one sweep point per (workload, engine) cell to a single
+ * sim::SweepRunner.  A workload's cells share one fusion key, so
+ * each workload is one fused column pass over all of its engines,
+ * and its DiriNB cells (EngineSpec::limitedPointers) collapse into
+ * one shared MultiLimitedEngine.  Results come back in submission
+ * order, so any job count is bit-identical to jobs = 1.
  *
  * @return results[workload][spec].
  */
@@ -209,139 +124,50 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
           const EvalOptions &opts,
           const std::vector<EngineSpec> &specs)
 {
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    // The pointer counts that collapse into shared lanes (needs at
-    // least two to be worth one extra engine); identical for every
-    // workload, so planned once.
-    std::vector<unsigned> lanePointers;
-    if (opts.multiConfig) {
-        for (const EngineSpec &spec : specs)
-            if (spec.limitedPointers != 0)
-                lanePointers.push_back(spec.limitedPointers);
-    }
-    const bool collapse = lanePointers.size() >= 2;
-
     std::vector<std::vector<coherence::EngineResults>> results(
         cfgs.size());
-    const unsigned jobs = sim::ThreadPool::resolveThreads(opts.jobs);
-    if (jobs <= 1 || cfgs.empty() || specs.empty()) {
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            const unsigned units = unitsFor(cfgs[c], opts);
-            sim::Simulator simulator(simConfigFor(cfgs[c], opts));
-            coherence::MultiLimitedEngine *multi = nullptr;
-            std::vector<std::size_t> lane(specs.size(), kNone);
-            std::vector<std::size_t> slot(specs.size(), kNone);
-            std::size_t nextSlot = 0;
-            std::size_t nextLane = 0;
-            for (std::size_t f = 0; f < specs.size(); ++f) {
-                if (collapse && specs[f].limitedPointers != 0) {
-                    if (!multi) {
-                        auto engine = std::make_unique<
-                            coherence::MultiLimitedEngine>(
-                            units, lanePointers);
-                        multi = engine.get();
-                        simulator.addEngine(std::move(engine));
-                        ++nextSlot;
-                    }
-                    lane[f] = nextLane++;
-                    continue;
-                }
-                simulator.addEngine(specs[f].make(units));
-                slot[f] = nextSlot++;
-            }
-            if (opts.usePreparedTraces && opts.streamReplay) {
-                // Out-of-core: one chunk window resident per replay.
-                const auto stored =
-                    sim::TraceRepository::global().getStored(
-                        cfgs[c], prepareOptionsFor(opts));
-                const auto spans = stored->spanCursor();
-                simulator.run(*spans);
-            } else if (opts.usePreparedTraces) {
-                simulator.run(*sim::TraceRepository::global().get(
-                    cfgs[c], prepareOptionsFor(opts)));
-            } else {
-                runWorkload(cfgs[c], opts, simulator);
-            }
-            for (std::size_t f = 0; f < specs.size(); ++f)
-                results[c].push_back(
-                    lane[f] != kNone
-                        ? multi->laneResults(lane[f])
-                        : simulator.engine(slot[f]).results());
-        }
+    if (cfgs.empty() || specs.empty())
         return results;
-    }
+    const unsigned jobs = sim::ThreadPool::resolveThreads(opts.jobs);
 
-    // Phase 1: materialise each workload once.  The traces are
-    // immutable from here on and shared read-only by every engine
-    // job.  On the prepared path the repository supplies decode-once
-    // SoA traces (already cached across runs); the raw path
-    // materialises throwaway MemoryTraces as before.
-    const bool stream = opts.usePreparedTraces && opts.streamReplay;
-    std::vector<std::shared_ptr<const trace::PreparedTrace>> prepared(
-        cfgs.size());
-    std::vector<std::shared_ptr<const trace::StoredTrace>> stored(
-        cfgs.size());
-    std::vector<trace::MemoryTrace> traces(
-        opts.usePreparedTraces ? 0 : cfgs.size());
-    {
-        std::mutex collect;
-        std::exception_ptr firstError;
-        sim::ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, cfgs.size())));
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            pool.submit([&, c] {
-                try {
-                    if (stream) {
-                        auto ptr =
-                            sim::TraceRepository::global().getStored(
-                                cfgs[c], prepareOptionsFor(opts));
-                        std::lock_guard<std::mutex> lock(collect);
-                        stored[c] = std::move(ptr);
-                    } else if (opts.usePreparedTraces) {
-                        auto ptr = sim::TraceRepository::global().get(
-                            cfgs[c], prepareOptionsFor(opts));
-                        std::lock_guard<std::mutex> lock(collect);
-                        prepared[c] = std::move(ptr);
-                    } else {
-                        trace::MemoryTrace trace =
-                            gen::generateTrace(cfgs[c]);
-                        std::lock_guard<std::mutex> lock(collect);
-                        traces[c] = std::move(trace);
-                    }
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(collect);
-                    if (!firstError)
-                        firstError = std::current_exception();
-                }
-            });
-        }
-        pool.wait();
-        if (firstError)
-            std::rethrow_exception(firstError);
+    // Phase 1: one stream per workload, as the template its cells'
+    // points copy.  The traces are immutable and shared read-only by
+    // every job; a streamed cell builds its own windowed cursor over
+    // the shared store, so concurrent cells each keep one chunk
+    // resident.
+    const trace::PrepareOptions prep = prepareOptionsFor(opts);
+    std::vector<std::function<sim::SweepPoint()>> fetches;
+    for (std::size_t c = 0; c < cfgs.size(); ++c) {
+        fetches.push_back([&, c] {
+            sim::TraceRepository &repo = sim::TraceRepository::global();
+            sim::SweepPoint point;
+            point.name = cfgs[c].name;
+            point.sim = simConfigFor(cfgs[c], opts);
+            // Unique per index: workload names can repeat.
+            point.fuseKey = "workload#" + std::to_string(c);
+            if (opts.streamReplay)
+                point.spans = [stored = repo.getStored(cfgs[c], prep)] {
+                    return stored->spanCursor();
+                };
+            else
+                point.prepared = repo.get(cfgs[c], prep);
+            return point;
+        });
     }
+    const std::vector<sim::SweepPoint> streams =
+        sim::runOrdered<sim::SweepPoint>(
+            static_cast<unsigned>(
+                std::min<std::size_t>(jobs, cfgs.size())),
+            fetches);
 
     // Phase 2: one sweep point per (workload, engine) cell.
     sim::SweepRunner runner(jobs);
     for (std::size_t c = 0; c < cfgs.size(); ++c) {
         const unsigned units = unitsFor(cfgs[c], opts);
         for (const EngineSpec &spec : specs) {
-            sim::SweepPoint point;
-            point.name = cfgs[c].name;
-            point.sim = simConfigFor(cfgs[c], opts);
-            // Fuse the scheme axis: all of a workload's cells carry
-            // one key (unique per index — names can repeat), so the
-            // runner collapses them into a single fused column pass.
-            if (opts.fusedReplay)
-                point.fuseKey = "workload#" + std::to_string(c);
-            // Multi-configuration hint: the runner collapses the
-            // fused group's DiriNB cells into one shared-table
-            // engine (sim/sweep.hh).  Without fusion the cells stay
-            // standalone jobs, where the hint has nothing to pair
-            // with — the factory below is always the fallback.
-            if (opts.multiConfig) {
-                point.multiPointers = spec.limitedPointers;
-                point.multiUnits = units;
-            }
+            sim::SweepPoint point = streams[c];
+            point.multiPointers = spec.limitedPointers;
+            point.multiUnits = units;
             point.engines = [&factory = spec.make, units] {
                 std::vector<
                     std::unique_ptr<coherence::CoherenceEngine>>
@@ -349,21 +175,6 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
                 engines.push_back(factory(units));
                 return engines;
             };
-            if (stream) {
-                // Each job builds its own windowed cursor over the
-                // shared store; concurrent cells replay the same file
-                // with one chunk resident per job.
-                point.spans = [st = stored[c]] {
-                    return st->spanCursor();
-                };
-            } else if (opts.usePreparedTraces) {
-                point.prepared = prepared[c];
-            } else {
-                point.source = [trace = &traces[c],
-                                drop = opts.dropLockTests] {
-                    return replaySource(*trace, drop);
-                };
-            }
             runner.add(std::move(point));
         }
     }
@@ -375,6 +186,31 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
         }
     }
     return results;
+}
+
+/** Each matrix column merged across the workloads. */
+std::vector<coherence::EngineResults>
+mergeColumns(
+    const std::vector<std::vector<coherence::EngineResults>> &matrix,
+    std::size_t columns)
+{
+    std::vector<coherence::EngineResults> merged(columns);
+    for (const auto &row : matrix) {
+        for (std::size_t e = 0; e < columns; ++e) {
+            merged[e].name = row[e].name;
+            merged[e].merge(row[e]);
+        }
+    }
+    return merged;
+}
+
+/** Run one engine per workload, merged across the workloads. */
+coherence::EngineResults
+runMerged(const std::vector<gen::WorkloadConfig> &cfgs,
+          const EvalOptions &opts, EngineSpec spec)
+{
+    return mergeColumns(runMatrix(cfgs, opts, {std::move(spec)}), 1)
+        .front();
 }
 
 EngineFactory
@@ -390,16 +226,6 @@ invalFactory(const directory::DirEntryFactory *dirFactory = nullptr,
     };
 }
 
-EngineFactory
-limitedFactory(unsigned nPointers,
-               const directory::DirCacheConfig &dirCache = {})
-{
-    return [nPointers, dirCache](unsigned units) {
-        return std::make_unique<coherence::LimitedEngine>(
-            units, nPointers, dirCache);
-    };
-}
-
 /**
  * A DiriNB cell.  Collapsible into a multi-config lane only without
  * a directory cache: eviction state is per-configuration, so finite-
@@ -409,7 +235,10 @@ EngineSpec
 limitedSpec(unsigned nPointers,
             const directory::DirCacheConfig &dirCache = {})
 {
-    return {limitedFactory(nPointers, dirCache),
+    return {[nPointers, dirCache](unsigned units) {
+                return std::make_unique<coherence::LimitedEngine>(
+                    units, nPointers, dirCache);
+            },
             dirCache.enabled ? 0u : nPointers};
 }
 
@@ -471,16 +300,8 @@ limitedSweep(const std::vector<gen::WorkloadConfig> &cfgs,
     std::vector<EngineSpec> specs;
     for (unsigned i : pointerCounts)
         specs.push_back(limitedSpec(i, opts.dirCache));
-    const auto matrix = runMatrix(cfgs, opts, specs);
-
-    std::vector<coherence::EngineResults> merged(pointerCounts.size());
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        for (std::size_t e = 0; e < pointerCounts.size(); ++e) {
-            merged[e].name = matrix[c][e].name;
-            merged[e].merge(matrix[c][e]);
-        }
-    }
-    return merged;
+    return mergeColumns(runMatrix(cfgs, opts, specs),
+                        pointerCounts.size());
 }
 
 coherence::EngineResults
@@ -488,32 +309,17 @@ invalWithDirectory(const std::vector<gen::WorkloadConfig> &cfgs,
                    const directory::DirEntryFactory &factory,
                    const EvalOptions &opts)
 {
-    const auto matrix = runMatrix(
-        cfgs, opts, {{invalFactory(&factory, opts.dirCache)}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {invalFactory(&factory, opts.dirCache)});
 }
 
 coherence::EngineResults
 berkeleyResults(const std::vector<gen::WorkloadConfig> &cfgs,
                 const EvalOptions &opts)
 {
-    const auto matrix = runMatrix(
-        cfgs, opts, {{[](unsigned units) {
-            return std::make_unique<coherence::BerkeleyEngine>(units);
-        }}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {[](unsigned units) {
+                         return std::make_unique<
+                             coherence::BerkeleyEngine>(units);
+                     }});
 }
 
 coherence::EngineResults
@@ -521,23 +327,16 @@ invalWithFiniteCaches(const std::vector<gen::WorkloadConfig> &cfgs,
                       const mem::CacheGeometry &geometry,
                       const EvalOptions &opts)
 {
-    const auto matrix = runMatrix(
-        cfgs, opts, {{[&geometry](unsigned units) {
-            coherence::InvalEngineConfig cfg;
-            cfg.nUnits = units;
-            cfg.cacheFactory = [&geometry]() {
-                return std::make_unique<mem::SetAssocTagStore>(
-                    geometry);
-            };
-            return std::make_unique<coherence::InvalEngine>(cfg);
-        }}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {[&geometry](unsigned units) {
+                         coherence::InvalEngineConfig cfg;
+                         cfg.nUnits = units;
+                         cfg.cacheFactory = [&geometry]() {
+                             return std::make_unique<
+                                 mem::SetAssocTagStore>(geometry);
+                         };
+                         return std::make_unique<
+                             coherence::InvalEngine>(cfg);
+                     }});
 }
 
 coherence::EngineResults
@@ -545,15 +344,7 @@ invalWithDirCache(const std::vector<gen::WorkloadConfig> &cfgs,
                   const directory::DirCacheConfig &dirCache,
                   const EvalOptions &opts)
 {
-    const auto matrix =
-        runMatrix(cfgs, opts, {{invalFactory(nullptr, dirCache)}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {invalFactory(nullptr, dirCache)});
 }
 
 coherence::EngineResults
@@ -562,15 +353,7 @@ limitedWithDirCache(const std::vector<gen::WorkloadConfig> &cfgs,
                     const directory::DirCacheConfig &dirCache,
                     const EvalOptions &opts)
 {
-    const auto matrix =
-        runMatrix(cfgs, opts, {limitedSpec(nPointers, dirCache)});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, limitedSpec(nPointers, dirCache));
 }
 
 } // namespace dirsim::analysis

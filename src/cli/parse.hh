@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict command-line number parsing shared by the exhibit binaries.
+ * Strict command-line parsing shared by the exhibit binaries.
  *
  * std::atoi-style parsing silently maps garbage and negative input to
  * values that pass later range checks ("-3abc" → huge unsigned, "x" →
@@ -161,6 +161,41 @@ parseNameList(const char *text, const std::string &what,
         begin = comma + 1;
     }
     return names;
+}
+
+/**
+ * Collect the arguments of a command line that takes positional
+ * arguments only, checking each in order before the caller does any
+ * work: `--help` or `-h` prints @p usage on stdout and exits 0; any
+ * other argument starting with '-', or one beyond @p maxPositional,
+ * prints an error plus @p usage on stderr and exits 2.
+ *
+ * @return The positional arguments, in order.
+ */
+inline std::vector<std::string>
+positionalArgs(int argc, char **argv, const char *usage,
+               std::size_t maxPositional)
+{
+    std::vector<std::string> args;
+    for (int a = 1; a < argc; ++a) {
+        const std::string arg = argv[a];
+        if (arg == "--help" || arg == "-h") {
+            std::cout << usage;
+            std::exit(0);
+        }
+        std::string why;
+        if (!arg.empty() && arg[0] == '-')
+            why = "unknown option";
+        else if (args.size() == maxPositional)
+            why = "unexpected argument";
+        if (!why.empty()) {
+            std::cerr << "error: " << why << " '" << arg << "'\n"
+                      << usage;
+            std::exit(2);
+        }
+        args.push_back(arg);
+    }
+    return args;
 }
 
 } // namespace dirsim::cli

@@ -14,6 +14,14 @@ namespace
  *  nextBatch() call, small enough to stay in L1/L2. */
 constexpr std::size_t batchRecords = 4096;
 
+std::runtime_error
+capacityError(const coherence::CoherenceEngine &smallest)
+{
+    return std::runtime_error(
+        "Simulator: trace uses more sharing units than engine '" +
+        smallest.results().name + "' supports");
+}
+
 } // namespace
 
 Simulator::Simulator(const SimConfig &cfg)
@@ -39,14 +47,10 @@ Simulator::run(trace::RefSource &source)
     // The capacity shared by every engine; a unit index at or beyond
     // it can reach no engine, so it is checked while mapping units —
     // before the batch is dispatched anywhere.
-    unsigned capacity = std::numeric_limits<unsigned>::max();
-    const coherence::CoherenceEngine *smallest = nullptr;
-    for (const auto &engine : _engines) {
-        if (engine->numUnits() < capacity) {
-            capacity = engine->numUnits();
-            smallest = engine.get();
-        }
-    }
+    const coherence::CoherenceEngine *smallest = smallestEngine();
+    const unsigned capacity = smallest
+                                  ? smallest->numUnits()
+                                  : std::numeric_limits<unsigned>::max();
 
     std::uint64_t processed = 0;
     const mem::BlockMapper toBlock(_cfg.blockBytes);
@@ -71,10 +75,7 @@ Simulator::run(trace::RefSource &source)
                 for (auto &engine : _engines)
                     engine->reset();
                 _unitMap.clear();
-                throw std::runtime_error(
-                    "Simulator: trace uses more sharing units than "
-                    "engine '" + smallest->results().name +
-                    "' supports");
+                throw capacityError(*smallest);
             }
             batch[nData] = {unit, rec.type, toBlock(rec.addr)};
             nData += rec.type != trace::RefType::Instr;
@@ -93,41 +94,8 @@ Simulator::run(trace::RefSource &source)
 std::uint64_t
 Simulator::run(const trace::PreparedTrace &prepared)
 {
-    const trace::PrepareOptions &opts = prepared.options();
-    if (opts.blockBytes != _cfg.blockBytes ||
-        opts.domain != _cfg.domain)
-        throw std::invalid_argument(
-            "Simulator: prepared trace '" + prepared.name() +
-            "' was decoded for a different block size or sharing "
-            "domain than this simulator");
-
-    // Unlike the streaming path, the unit count is known up front, so
-    // the capacity check happens before any engine sees anything — a
-    // failed run mutates nothing.
-    unsigned capacity = std::numeric_limits<unsigned>::max();
-    const coherence::CoherenceEngine *smallest = nullptr;
-    for (const auto &engine : _engines) {
-        if (engine->numUnits() < capacity) {
-            capacity = engine->numUnits();
-            smallest = engine.get();
-        }
-    }
-    if (prepared.numUnits() > capacity)
-        throw std::runtime_error(
-            "Simulator: trace uses more sharing units than engine '" +
-            smallest->results().name + "' supports");
-
-    if (_cfg.expectedBlocks != 0) {
-        for (auto &engine : _engines)
-            engine->reserveBlocks(_cfg.expectedBlocks);
-    }
-    if (prepared.numUnits() > _preparedUnits)
-        _preparedUnits = prepared.numUnits();
-
     trace::PreparedTraceSpans spans(prepared);
-    FusedReplay replay(
-        FusedReplayOptions{.stripRefs = _cfg.replayStripRefs});
-    return replay.run(spans, enginePointers()).totalRefs();
+    return run(spans);
 }
 
 std::uint64_t
@@ -141,18 +109,12 @@ Simulator::run(trace::PreparedSpanSource &spans)
             "' was decoded for a different block size or sharing "
             "domain than this simulator");
 
-    unsigned capacity = std::numeric_limits<unsigned>::max();
-    const coherence::CoherenceEngine *smallest = nullptr;
-    for (const auto &engine : _engines) {
-        if (engine->numUnits() < capacity) {
-            capacity = engine->numUnits();
-            smallest = engine.get();
-        }
-    }
-    if (spans.numUnits() > capacity)
-        throw std::runtime_error(
-            "Simulator: trace uses more sharing units than engine '" +
-            smallest->results().name + "' supports");
+    // Unlike the streaming path, the unit count is known up front, so
+    // the capacity check happens before any engine sees anything — a
+    // failed run mutates nothing.
+    const coherence::CoherenceEngine *smallest = smallestEngine();
+    if (smallest && spans.numUnits() > smallest->numUnits())
+        throw capacityError(*smallest);
 
     if (_cfg.expectedBlocks != 0) {
         for (auto &engine : _engines)
@@ -164,6 +126,16 @@ Simulator::run(trace::PreparedSpanSource &spans)
     FusedReplay replay(
         FusedReplayOptions{.stripRefs = _cfg.replayStripRefs});
     return replay.run(spans, enginePointers()).totalRefs();
+}
+
+const coherence::CoherenceEngine *
+Simulator::smallestEngine() const
+{
+    const coherence::CoherenceEngine *smallest = nullptr;
+    for (const auto &engine : _engines)
+        if (!smallest || engine->numUnits() < smallest->numUnits())
+            smallest = engine.get();
+    return smallest;
 }
 
 std::vector<coherence::CoherenceEngine *>

@@ -47,11 +47,11 @@ struct SimConfig
      * References per fused-replay strip for the prepared paths (see
      * sim/fused_replay.hh): every strip visits all engines before the
      * column walk advances, so the columns are read from memory once
-     * per run instead of once per engine.  0 restores the pre-fusion
-     * shape (each engine scans the whole stream in turn) — the A/B
-     * escape hatch.  Either way the replay is bit-identical: strip
-     * boundaries are invisible to the coherence model, exactly like
-     * span boundaries.
+     * per run instead of once per engine.  0 hands each span to each
+     * engine whole (the pre-fusion shape); the equivalence suites use
+     * it and adversarial sizes to pin that the replay is bit-identical
+     * either way: strip boundaries are invisible to the coherence
+     * model, exactly like span boundaries.
      */
     std::size_t replayStripRefs = kDefaultReplayStripRefs;
 
@@ -143,6 +143,10 @@ class Simulator
     }
 
   private:
+    /** The engine with the fewest units (the first on ties), which
+     *  bounds the units a run may use; nullptr with no engines. */
+    const coherence::CoherenceEngine *smallestEngine() const;
+
     /** Non-owning engine list in registration order (FusedReplay). */
     std::vector<coherence::CoherenceEngine *> enginePointers() const;
 

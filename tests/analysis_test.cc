@@ -9,8 +9,13 @@
 #include "analysis/evaluation.hh"
 #include "analysis/exhibits.hh"
 #include "analysis/extensions.hh"
+#include "coherence/dragon_engine.hh"
+#include "coherence/inval_engine.hh"
+#include "coherence/limited_engine.hh"
 #include "directory/full_map.hh"
 #include "directory/two_bit.hh"
+#include "gen/workload.hh"
+#include "trace/filter.hh"
 
 namespace
 {
@@ -159,6 +164,46 @@ TEST_F(AnalysisTest, DropLockTestsOptionShrinksTrace)
               eval().average.inval.events.totalRefs());
     const auto table = section52(eval(), filtered);
     EXPECT_EQ(table.rows(), 4u);
+}
+
+/**
+ * The lock-test filter folds into the prepared decode; it must match
+ * the raw filter over a regenerated stream, engine for engine.
+ */
+TEST_F(AnalysisTest, DropLockTestsMatchesRawFilteredReplay)
+{
+    const auto cfgs = smallWorkloads();
+    for (const unsigned jobs : {1u, 4u}) {
+        EvalOptions opts;
+        opts.dropLockTests = true;
+        opts.jobs = jobs;
+        const Evaluation filtered = evaluateWorkloads(cfgs, opts);
+        ASSERT_EQ(filtered.traces.size(), cfgs.size());
+        for (std::size_t c = 0; c < cfgs.size(); ++c) {
+            const unsigned units = cfgs[c].space.nProcesses;
+            sim::Simulator simulator;
+            coherence::InvalEngineConfig icfg;
+            icfg.nUnits = units;
+            simulator.addEngine(
+                std::make_unique<coherence::InvalEngine>(icfg));
+            simulator.addEngine(
+                std::make_unique<coherence::LimitedEngine>(units, 1));
+            simulator.addEngine(
+                std::make_unique<coherence::DragonEngine>(units));
+            gen::WorkloadSource source(cfgs[c]);
+            trace::FilteredSource noLocks =
+                trace::dropLockTests(source);
+            simulator.run(noLocks);
+
+            const TraceEvaluation &te = filtered.traces[c];
+            EXPECT_TRUE(te.inval == simulator.engine(0).results())
+                << cfgs[c].name << " jobs=" << jobs;
+            EXPECT_TRUE(te.dir1nb == simulator.engine(1).results())
+                << cfgs[c].name << " jobs=" << jobs;
+            EXPECT_TRUE(te.dragon == simulator.engine(2).results())
+                << cfgs[c].name << " jobs=" << jobs;
+        }
+    }
 }
 
 TEST_F(AnalysisTest, InvalWithDirectoryReportsMessages)

@@ -1,13 +1,18 @@
 /**
  * @file
- * Death and edge tests of the strict CLI number parsers.
+ * Death and edge tests of the strict CLI parsers.
  *
  * Every exhibit binary funnels numeric flags through cli::parse*;
  * each rejection path must exit with status 2 and a message naming
  * the flag, and each acceptance path must return the exact value.
+ * cli::positionalArgs holds the positional-only binaries to the same
+ * contract, with --help exiting 0.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "cli/parse.hh"
 
@@ -207,6 +212,40 @@ TEST(DirectGenKnobsDeathTest, GenChunkRefsRejectsBadInput)
                                           1u << 31),
                 ::testing::ExitedWithCode(2),
                 "invalid --gen-chunk-refs");
+}
+
+/** Runs cli::positionalArgs over a literal command line. */
+std::vector<std::string>
+positional(std::vector<std::string> words, std::size_t maxPositional)
+{
+    std::vector<char *> argv;
+    for (std::string &word : words)
+        argv.push_back(word.data());
+    return cli::positionalArgs(static_cast<int>(argv.size()),
+                               argv.data(), "Usage: tool [a] [b]\n",
+                               maxPositional);
+}
+
+TEST(PositionalArgs, ReturnsArgumentsInOrder)
+{
+    EXPECT_TRUE(positional({"tool"}, 2).empty());
+    EXPECT_EQ(positional({"tool", "8", "x"}, 2),
+              (std::vector<std::string>{"8", "x"}));
+}
+
+TEST(PositionalArgsDeathTest, HelpExitsZeroAndBadInputExitsTwo)
+{
+    EXPECT_EXIT(positional({"tool", "8", "--help"}, 2),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(positional({"tool", "-h"}, 0),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(positional({"tool", "--bogus"}, 2),
+                ::testing::ExitedWithCode(2), "unknown option '--bogus'");
+    EXPECT_EXIT(positional({"tool", "1", "2", "3"}, 2),
+                ::testing::ExitedWithCode(2), "unexpected argument '3'");
+    // Checked in order: a bad argument before --help still fails.
+    EXPECT_EXIT(positional({"tool", "-x", "--help"}, 2),
+                ::testing::ExitedWithCode(2), "unknown option '-x'");
 }
 
 } // namespace

@@ -6,8 +6,8 @@
  * prepared columns.  The claim that strip interleaving is invisible
  * to the coherence models is load-bearing for the whole sweep path,
  * so this suite pins it from every angle against the seed golden
- * digests (golden_data.hh): sequential whole-span replay (the
- * --no-fused hatch), adversarial strip sizes, fused groups through a
+ * digests (golden_data.hh): sequential whole-span replay
+ * (replayStripRefs = 0), adversarial strip sizes, fused groups through a
  * parallel SweepRunner, and fused groups over streamed store spans.
  */
 
@@ -63,7 +63,7 @@ runPreparedWithStrip(const gen::WorkloadConfig &cfg,
 }
 
 /**
- * The --no-fused escape hatch (replayStripRefs = 0: each span handed
+ * Sequential whole-span replay (replayStripRefs = 0: each span handed
  * to each engine whole, the pre-fusion shape) must land on the same
  * seed digests as the default fused path for every scheme × workload.
  */

@@ -10,8 +10,8 @@
  * tables have never seen: co-resident multi + independent engines at
  * adversarial strip sizes, collapsed fused groups through a 4-worker
  * SweepRunner, collapsed groups over streamed store spans, and the
- * analysis layer's multiConfig on/off and finite-dir-cache fallback
- * paths.
+ * analysis layer's limitedSweep (collapsed, and the finite-dir-cache
+ * fallback) against independent engines on a plain Simulator.
  */
 
 #include <gtest/gtest.h>
@@ -276,71 +276,80 @@ TEST(MultiConfigDifferential, StreamedStoreSpansMatch)
 }
 
 /**
- * The analysis layer's A/B hatch: limitedSweep with multiConfig on
- * (the default, collapsed) equals multiConfig off (independent
- * engines), serial and through a 4-job parallel sweep.
+ * Independent LimitedEngines, one per lane, run directly on a
+ * Simulator over each workload's regenerated raw stream and merged
+ * across the workloads: the reference for the analysis layer.
  */
-TEST(MultiConfigDifferential, AnalysisMultiConfigOnOffIdentical)
+std::vector<coherence::EngineResults>
+independentMerged(const std::vector<gen::WorkloadConfig> &cfgs,
+                  const directory::DirCacheConfig &dirCache)
 {
-    std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[0]};
+    std::vector<coherence::EngineResults> merged(kLanes.size());
+    for (const gen::WorkloadConfig &cfg : cfgs) {
+        sim::Simulator simulator;
+        for (const unsigned p : kLanes)
+            simulator.addEngine(
+                std::make_unique<coherence::LimitedEngine>(
+                    cfg.space.nProcesses, p, dirCache));
+        gen::WorkloadSource source(cfg);
+        simulator.run(source);
+        for (std::size_t l = 0; l < kLanes.size(); ++l) {
+            const coherence::EngineResults &r =
+                simulator.engine(l).results();
+            merged[l].name = r.name;
+            merged[l].merge(r);
+        }
+    }
+    return merged;
+}
 
-    analysis::EvalOptions off;
-    off.multiConfig = false;
-    const auto independent =
-        analysis::limitedSweep(cfgs, kLanes, off);
-
-    analysis::EvalOptions on;
-    on.multiConfig = true;
-    const auto collapsed = analysis::limitedSweep(cfgs, kLanes, on);
-
-    analysis::EvalOptions parallel;
-    parallel.multiConfig = true;
-    parallel.jobs = 4;
-    const auto collapsedParallel =
-        analysis::limitedSweep(cfgs, kLanes, parallel);
-
-    ASSERT_EQ(independent.size(), kLanes.size());
-    ASSERT_EQ(collapsed.size(), kLanes.size());
-    ASSERT_EQ(collapsedParallel.size(), kLanes.size());
-    for (std::size_t l = 0; l < kLanes.size(); ++l) {
-        EXPECT_TRUE(collapsed[l] == independent[l])
-            << "serial collapse diverged at dir" << kLanes[l] << "nb";
-        EXPECT_TRUE(collapsedParallel[l] == independent[l])
-            << "parallel collapse diverged at dir" << kLanes[l]
-            << "nb";
+/** limitedSweep at jobs 1 and 4 against the independent reference. */
+void
+expectSweepMatchesIndependent(
+    const std::vector<gen::WorkloadConfig> &cfgs,
+    const directory::DirCacheConfig &dirCache)
+{
+    const auto expected = independentMerged(cfgs, dirCache);
+    for (const unsigned jobs : {1u, 4u}) {
+        analysis::EvalOptions opts;
+        opts.jobs = jobs;
+        opts.dirCache = dirCache;
+        const auto sweep = analysis::limitedSweep(cfgs, kLanes, opts);
+        ASSERT_EQ(sweep.size(), kLanes.size());
+        for (std::size_t l = 0; l < kLanes.size(); ++l) {
+            EXPECT_TRUE(sweep[l] == expected[l])
+                << "dir" << kLanes[l] << "nb diverged at jobs=" << jobs;
+            EXPECT_GT(sweep[l].events.totalRefs(), 0u);
+        }
     }
 }
 
 /**
+ * The analysis layer collapses limitedSweep's DiriNB cells into one
+ * shared-table engine per workload; every lane must equal its
+ * independent LimitedEngine, serially and through 4 workers.
+ */
+TEST(MultiConfigDifferential, AnalysisLimitedSweepMatchesIndependentEngines)
+{
+    const std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[0],
+                                                   randomWorkloads()[2]};
+    expectSweepMatchesIndependent(cfgs, {});
+}
+
+/**
  * Finite directory caches force the fallback (eviction state is
- * per-configuration): with a DirCacheConfig set, multiConfig on and
- * off must be identical because the collapse never engages.
+ * per-configuration): limitedSweep runs independent engines, which
+ * must still match the reference and really evict.
  */
 TEST(MultiConfigDifferential, DirCacheFallsBackIdentically)
 {
-    std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[1]};
+    const std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[1]};
     directory::DirCacheConfig dc;
     dc.enabled = true;
     dc.entries = 256;
     dc.associativity = 4;
-
-    analysis::EvalOptions on;
-    on.multiConfig = true;
-    on.dirCache = dc;
-    analysis::EvalOptions off;
-    off.multiConfig = false;
-    off.dirCache = dc;
-
-    const auto a = analysis::limitedSweep(cfgs, kLanes, on);
-    const auto b = analysis::limitedSweep(cfgs, kLanes, off);
-    ASSERT_EQ(a.size(), kLanes.size());
-    for (std::size_t l = 0; l < kLanes.size(); ++l) {
-        EXPECT_TRUE(a[l] == b[l])
-            << "dir-cache fallback diverged at dir" << kLanes[l]
-            << "nb";
-        EXPECT_GT(a[l].dirCacheEvictions + a[l].events.totalRefs(),
-                  0u);
-    }
+    expectSweepMatchesIndependent(cfgs, dc);
+    EXPECT_GT(independentMerged(cfgs, dc).front().dirCacheEvictions, 0u);
 }
 
 } // namespace

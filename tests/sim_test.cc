@@ -20,6 +20,7 @@
 #include "gen/workloads.hh"
 #include "sim/cost_model.hh"
 #include "sim/simulator.hh"
+#include "trace/prepared.hh"
 #include "trace/trace.hh"
 
 namespace
@@ -153,6 +154,85 @@ TEST(Simulator, BlockSizeGroupsAddresses)
     // The final read hits: 0x1ff is in the dirty block 0x100 owned by
     // unit... pid 10 wrote it, so pid 20 read-misses dirty.
     EXPECT_EQ(eng.results().events.count(Event::RmBlkDrty), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Prepared replay: run(const PreparedTrace&) and run(PreparedSpanSource&)
+// share one geometry and capacity check.
+// ---------------------------------------------------------------------
+
+/** Replays @p prepared through one overload or the other. */
+std::uint64_t
+runPrepared(sim::Simulator &simulator,
+            const trace::PreparedTrace &prepared, bool viaSpans)
+{
+    if (!viaSpans)
+        return simulator.run(prepared);
+    trace::PreparedTraceSpans spans(prepared);
+    return simulator.run(spans);
+}
+
+TEST(Simulator, PreparedReplayMatchesRawRun)
+{
+    const trace::MemoryTrace trace = tinyTrace();
+    const trace::PreparedTrace prepared =
+        trace::PreparedTrace::build(trace, trace::PrepareOptions{});
+    sim::Simulator raw;
+    auto &expected =
+        raw.addEngine(std::make_unique<coherence::DragonEngine>(2));
+    trace::MemoryTraceSource source(trace);
+    raw.run(source);
+    for (const bool viaSpans : {false, true}) {
+        sim::Simulator simulator;
+        auto &eng = simulator.addEngine(
+            std::make_unique<coherence::DragonEngine>(2));
+        EXPECT_EQ(runPrepared(simulator, prepared, viaSpans), 4u);
+        EXPECT_TRUE(eng.results() == expected.results()) << viaSpans;
+        EXPECT_EQ(simulator.unitsSeen(), 2u);
+    }
+}
+
+TEST(Simulator, PreparedReplayRejectsMismatchedGeometry)
+{
+    trace::PrepareOptions coarse;
+    coarse.blockBytes = 256;
+    trace::PrepareOptions byCpu;
+    byCpu.domain = sim::SharingDomain::Processor;
+    for (const trace::PrepareOptions &prep : {coarse, byCpu}) {
+        const trace::PreparedTrace prepared =
+            trace::PreparedTrace::build(tinyTrace(), prep);
+        for (const bool viaSpans : {false, true}) {
+            sim::Simulator simulator;
+            auto &eng = simulator.addEngine(
+                std::make_unique<coherence::DragonEngine>(4));
+            EXPECT_THROW(runPrepared(simulator, prepared, viaSpans),
+                         std::invalid_argument)
+                << viaSpans;
+            EXPECT_EQ(eng.results().events.totalRefs(), 0u);
+        }
+    }
+}
+
+TEST(Simulator, PreparedReplayThrowsBeyondSmallestEngine)
+{
+    // Two pids: the 4-unit engine fits, the 1-unit one does not.
+    const trace::PreparedTrace prepared = trace::PreparedTrace::build(
+        tinyTrace(), trace::PrepareOptions{});
+    for (const bool viaSpans : {false, true}) {
+        sim::Simulator simulator;
+        coherence::InvalEngineConfig ecfg;
+        ecfg.nUnits = 4;
+        auto &big = simulator.addEngine(
+            std::make_unique<coherence::InvalEngine>(ecfg));
+        auto &small = simulator.addEngine(
+            std::make_unique<coherence::DragonEngine>(1));
+        EXPECT_THROW(runPrepared(simulator, prepared, viaSpans),
+                     std::runtime_error)
+            << viaSpans;
+        EXPECT_EQ(big.results().events.totalRefs(), 0u);
+        EXPECT_EQ(small.results().events.totalRefs(), 0u);
+        EXPECT_EQ(simulator.unitsSeen(), 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
