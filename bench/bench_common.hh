@@ -2,10 +2,10 @@
  * @file
  * Shared plumbing for the exhibit benchmarks.
  *
- * Every bench binary prints its reproduced table/figure first (so
- * running all benches regenerates the paper's evaluation section) and
- * then runs google-benchmark timings of the simulation kernels behind
- * it.  The evaluation of the three standard workloads is cached per
+ * Every bench binary checks its command line, prints its reproduced
+ * table/figure (so running all benches regenerates the paper's
+ * evaluation section) and then runs google-benchmark timings of the
+ * simulation kernels behind it.  The evaluation of the three standard workloads is cached per
  * process.
  *
  * Benches that run simulation sweeps take a `--jobs N` knob (parsed
@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -201,17 +202,21 @@ sweepTimingReport()
 }
 
 /**
- * Print the exhibit, then hand over to google-benchmark.  Call from
- * main() after registering benchmarks.
+ * Check the command line, compute and print the exhibit, then hand
+ * over to google-benchmark.  Call from main() after registering
+ * benchmarks (and after parseJobs() where the binary takes --jobs).
+ * An unrecognised flag exits 2 before @p exhibit runs, so a typo
+ * neither computes nor prints anything.
  */
 inline int
-runBench(int argc, char **argv, const std::string &exhibit)
+runBench(int argc, char **argv,
+         const std::function<std::string()> &exhibit)
 {
-    std::cout << exhibit << "\n";
-    WallTimer timer;
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
+        return 2;
+    std::cout << exhibit() << "\n";
+    WallTimer timer;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     std::cout << "[bench] timing phase: " << timer.seconds()

@@ -159,13 +159,15 @@ int
 main(int argc, char **argv)
 {
     dirsim::bench::parseJobs(&argc, argv);
-    dirsim::bench::WallTimer timer;
-    std::string exhibit = blockSizeExhibit() + "\n" +
-                          falseSharingExhibit() + "\n" +
-                          migrationExhibit();
-    std::ostringstream timing;
-    timing << "\n[sweep] ablation sweeps (--jobs "
-           << dirsim::bench::sweepJobs() << "): " << timer.seconds()
-           << " s\n";
-    return dirsim::bench::runBench(argc, argv, exhibit + timing.str());
+    return dirsim::bench::runBench(argc, argv, [] {
+        dirsim::bench::WallTimer timer;
+        std::string exhibit = blockSizeExhibit() + "\n" +
+                              falseSharingExhibit() + "\n" +
+                              migrationExhibit();
+        std::ostringstream timing;
+        timing << "\n[sweep] ablation sweeps (--jobs "
+               << dirsim::bench::sweepJobs() << "): " << timer.seconds()
+               << " s\n";
+        return exhibit + timing.str();
+    });
 }

@@ -53,8 +53,10 @@ BENCHMARK(BM_AnalyticalStudy);
 int
 main(int argc, char **argv)
 {
-    const auto rows =
-        dirsim::analysis::analyticalStudy(dirsim::gen::standardWorkloads());
-    return dirsim::bench::runBench(
-        argc, argv, dirsim::analysis::renderAnalytical(rows).toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::renderAnalytical(
+                   dirsim::analysis::analyticalStudy(
+                       dirsim::gen::standardWorkloads()))
+            .toString();
+    });
 }

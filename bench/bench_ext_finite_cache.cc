@@ -42,9 +42,11 @@ BENCHMARK(BM_FiniteCacheSimulation)
 int
 main(int argc, char **argv)
 {
-    const auto points = dirsim::analysis::finiteCacheStudy(
-        {8 * 1024, 32 * 1024, 128 * 1024, 512 * 1024, 2048 * 1024});
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::renderFiniteCache(points).toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::renderFiniteCache(
+                   dirsim::analysis::finiteCacheStudy(
+                       {8 * 1024, 32 * 1024, 128 * 1024, 512 * 1024,
+                        2048 * 1024}))
+            .toString();
+    });
 }

@@ -49,9 +49,9 @@ BENCHMARK(BM_HomeTracking);
 int
 main(int argc, char **argv)
 {
-    const auto points =
-        dirsim::analysis::homeLocalityStudy({2, 4, 8, 16, 32});
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::renderHomeLocality(points).toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::renderHomeLocality(
+                   dirsim::analysis::homeLocalityStudy({2, 4, 8, 16, 32}))
+            .toString();
+    });
 }

@@ -59,9 +59,9 @@ BENCHMARK(BM_NetworkCostTables);
 int
 main(int argc, char **argv)
 {
-    const auto points =
-        dirsim::analysis::networkStudy({2, 4, 8, 16, 32, 64});
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::renderNetwork(points).toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::renderNetwork(
+                   dirsim::analysis::networkStudy({2, 4, 8, 16, 32, 64}))
+            .toString();
+    });
 }

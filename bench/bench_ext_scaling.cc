@@ -38,8 +38,9 @@ BENCHMARK(BM_ScaledSimulation)->Arg(4)->Arg(16)->Arg(32);
 int
 main(int argc, char **argv)
 {
-    const auto points =
-        dirsim::analysis::scalingStudy({2, 4, 8, 16, 32});
-    return dirsim::bench::runBench(
-        argc, argv, dirsim::analysis::renderScaling(points).toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::renderScaling(
+                   dirsim::analysis::scalingStudy({2, 4, 8, 16, 32}))
+            .toString();
+    });
 }

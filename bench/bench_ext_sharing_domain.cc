@@ -31,8 +31,9 @@ BENCHMARK(BM_BothDomains);
 int
 main(int argc, char **argv)
 {
-    const auto cmp = dirsim::analysis::sharingDomainStudy(0.02);
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::renderSharingDomain(cmp).toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::renderSharingDomain(
+                   dirsim::analysis::sharingDomainStudy(0.02))
+            .toString();
+    });
 }

@@ -43,10 +43,10 @@ int
 main(int argc, char **argv)
 {
     using namespace dirsim;
-    const analysis::Figure1 fig =
-        analysis::figure1(bench::standardEval());
-    return bench::runBench(
-        argc, argv,
-        analysis::renderFigure1(fig, bench::standardCpus + 1)
-            .toString());
+    return bench::runBench(argc, argv, [] {
+        return analysis::renderFigure1(
+                   analysis::figure1(bench::standardEval()),
+                   bench::standardCpus + 1)
+            .toString();
+    });
 }

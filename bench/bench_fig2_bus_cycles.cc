@@ -31,9 +31,9 @@ int
 main(int argc, char **argv)
 {
     dirsim::bench::parseJobs(&argc, argv);
-    const std::string exhibit =
-        dirsim::analysis::figure2(dirsim::bench::standardEval())
-            .toString() +
-        "\n" + dirsim::bench::sweepTimingReport();
-    return dirsim::bench::runBench(argc, argv, exhibit);
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::figure2(dirsim::bench::standardEval())
+                   .toString() +
+               "\n" + dirsim::bench::sweepTimingReport();
+    });
 }

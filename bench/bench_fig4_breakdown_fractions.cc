@@ -30,8 +30,8 @@ BENCHMARK(BM_BreakdownFractions);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::figure4(dirsim::bench::standardEval())
-            .toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::figure4(dirsim::bench::standardEval())
+            .toString();
+    });
 }

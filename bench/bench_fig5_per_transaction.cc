@@ -31,8 +31,8 @@ BENCHMARK(BM_PerTransaction);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::figure5(dirsim::bench::standardEval())
-            .toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::figure5(dirsim::bench::standardEval())
+            .toString();
+    });
 }

@@ -43,9 +43,9 @@ BENCHMARK(BM_OverheadSweep);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::section51(dirsim::bench::standardEval(),
-                                    {0.0, 1.0, 2.0, 4.0})
-            .toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::section51(dirsim::bench::standardEval(),
+                                           {0.0, 1.0, 2.0, 4.0})
+            .toString();
+    });
 }

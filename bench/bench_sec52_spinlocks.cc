@@ -50,9 +50,9 @@ BENCHMARK(BM_FilteredSimulation);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::section52(dirsim::bench::standardEval(),
-                                    filteredEval())
-            .toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::section52(dirsim::bench::standardEval(),
+                                           filteredEval())
+            .toString();
+    });
 }

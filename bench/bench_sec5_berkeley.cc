@@ -75,5 +75,5 @@ BENCHMARK(BM_VariantCosts);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(argc, argv, exhibit());
+    return dirsim::bench::runBench(argc, argv, exhibit);
 }

@@ -53,5 +53,5 @@ BENCHMARK(BM_SystemEstimates);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(argc, argv, exhibit());
+    return dirsim::bench::runBench(argc, argv, exhibit);
 }

@@ -109,7 +109,7 @@ int
 main(int argc, char **argv)
 {
     dirsim::bench::parseJobs(&argc, argv);
-    return dirsim::bench::runBench(
-        argc, argv,
-        exhibit() + "\n" + dirsim::bench::sweepTimingReport());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return exhibit() + "\n" + dirsim::bench::sweepTimingReport();
+    });
 }

@@ -44,8 +44,8 @@ BENCHMARK(BM_CostEvaluation);
 int
 main(int argc, char **argv)
 {
-    const std::string exhibit = dirsim::analysis::table1().toString() +
-                                "\n" +
-                                dirsim::analysis::table2().toString();
-    return dirsim::bench::runBench(argc, argv, exhibit);
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::table1().toString() + "\n" +
+               dirsim::analysis::table2().toString();
+    });
 }

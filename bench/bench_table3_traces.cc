@@ -52,8 +52,10 @@ BENCHMARK(BM_Characterize);
 int
 main(int argc, char **argv)
 {
-    const auto chars = dirsim::analysis::characterizeWorkloads(
-        dirsim::gen::standardWorkloads());
-    return dirsim::bench::runBench(
-        argc, argv, dirsim::analysis::table3(chars).toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::table3(
+                   dirsim::analysis::characterizeWorkloads(
+                       dirsim::gen::standardWorkloads()))
+            .toString();
+    });
 }

@@ -86,8 +86,8 @@ BENCHMARK(BM_AllEnginesOnePass);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::table4(dirsim::bench::standardEval())
-            .toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::table4(dirsim::bench::standardEval())
+            .toString();
+    });
 }

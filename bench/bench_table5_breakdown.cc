@@ -43,8 +43,8 @@ BENCHMARK(BM_BreakdownAllSchemes);
 int
 main(int argc, char **argv)
 {
-    return dirsim::bench::runBench(
-        argc, argv,
-        dirsim::analysis::table5(dirsim::bench::standardEval())
-            .toString());
+    return dirsim::bench::runBench(argc, argv, [] {
+        return dirsim::analysis::table5(dirsim::bench::standardEval())
+            .toString();
+    });
 }

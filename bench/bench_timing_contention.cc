@@ -182,5 +182,5 @@ int
 main(int argc, char **argv)
 {
     dirsim::bench::parseJobs(&argc, argv);
-    return dirsim::bench::runBench(argc, argv, exhibit());
+    return dirsim::bench::runBench(argc, argv, exhibit);
 }

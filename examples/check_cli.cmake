@@ -1,9 +1,9 @@
-# Run one example binary on a bad or --help command line, in an empty
+# Run one binary on a bad or --help command line, in an empty
 # directory, and check its exit status and that it created nothing.
 #
 #   cmake -DBIN=<binary> -DARGS=<comma-separated args> -DEXPECT=<status>
 #         -DWORKDIR=<scratch dir> [-DOUTPUT=<regex stdout must match>]
-#         -P check_cli.cmake
+#         [-DEMPTY_OUTPUT=ON (stdout must be empty)] -P check_cli.cmake
 
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -19,6 +19,9 @@ if(NOT status STREQUAL "${EXPECT}")
 endif()
 if(DEFINED OUTPUT AND NOT out MATCHES "${OUTPUT}")
     message(FATAL_ERROR "${BIN} ${ARGS}: stdout lacks '${OUTPUT}'\n${out}")
+endif()
+if(EMPTY_OUTPUT AND NOT out STREQUAL "")
+    message(FATAL_ERROR "${BIN} ${ARGS}: printed to stdout\n${out}")
 endif()
 file(GLOB created LIST_DIRECTORIES true "${WORKDIR}/*" "${WORKDIR}/.*")
 if(created)

@@ -44,12 +44,13 @@ analyticalPredict(const AnalyticalParams &params)
 std::vector<AnalyticalComparison>
 analyticalStudy(const std::vector<gen::WorkloadConfig> &cfgs)
 {
+    const Evaluation eval = evaluateWorkloads(cfgs);
+    const std::vector<trace::TraceCharacteristics> chars =
+        characterizeWorkloads(cfgs);
     std::vector<AnalyticalComparison> rows;
-    for (const gen::WorkloadConfig &cfg : cfgs) {
-        const Evaluation eval = evaluateWorkloads({cfg});
-        gen::WorkloadSource source(cfg);
-        const trace::TraceCharacteristics ch = trace::characterize(
-            source, cfg.name, cfg.space.blockBytes);
+    for (std::size_t k = 0; k < cfgs.size(); ++k) {
+        const gen::WorkloadConfig &cfg = cfgs[k];
+        const trace::TraceCharacteristics &ch = chars[k];
 
         AnalyticalComparison row;
         row.trace = cfg.name;
@@ -65,8 +66,8 @@ analyticalStudy(const std::vector<gen::WorkloadConfig> &cfgs)
                       static_cast<double>(ch.refsToSharedBlocks);
         row.predicted = analyticalPredict(row.fitted);
 
-        const auto &iv = eval.average.inval;
-        const auto &dg = eval.average.dragon;
+        const auto &iv = eval.traces[k].inval;
+        const auto &dg = eval.traces[k].dragon;
         const double refs =
             static_cast<double>(iv.events.totalRefs());
         if (refs > 0.0) {

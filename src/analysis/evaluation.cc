@@ -71,24 +71,14 @@ simConfigFor(const gen::WorkloadConfig &cfg, const EvalOptions &opts)
     return sc;
 }
 
-/** Builds one engine for a given unit count. */
-using EngineFactory =
-    std::function<std::unique_ptr<coherence::CoherenceEngine>(unsigned)>;
-
-/**
- * One cell of the workload×engine matrix: the factory that builds
- * its engine, plus the multi-configuration collapse hint.  A nonzero
- * limitedPointers marks the cell as a plain DiriNB run (no directory
- * cache) with that pointer count, which the sweep runner may run as
- * one lane of a shared coherence::MultiLimitedEngine (see
- * sim::SweepPoint::multiPointers).  The factory is the fallback when
- * the workload carries fewer than two such cells.
- */
-struct EngineSpec
+/** Workers for @p tasks independent tasks: never more than the
+ *  tasks, so a short list does not spawn idle threads. */
+unsigned
+workersFor(unsigned jobs, std::size_t tasks)
 {
-    EngineFactory make;
-    unsigned limitedPointers = 0;
-};
+    return static_cast<unsigned>(std::min<std::size_t>(
+        sim::ThreadPool::resolveThreads(jobs), tasks));
+}
 
 /** Decode parameters matching this run's options: the lock-test
  *  filter folds into the decode, so the prepared stream replays with
@@ -103,26 +93,12 @@ prepareOptionsFor(const EvalOptions &opts)
     return prep;
 }
 
-/**
- * Run a workload×engine matrix and harvest every engine's results.
- *
- * Every evaluation goes through here, at any job count.  Phase one
- * fetches each workload's trace from sim::TraceRepository::global()
- * — the in-memory PreparedTrace, or with opts.streamReplay the
- * out-of-core StoredTrace — one task per workload.  Phase two
- * submits one sweep point per (workload, engine) cell to a single
- * sim::SweepRunner.  A workload's cells share one fusion key, so
- * each workload is one fused column pass over all of its engines,
- * and its DiriNB cells (EngineSpec::limitedPointers) collapse into
- * one shared MultiLimitedEngine.  Results come back in submission
- * order, so any job count is bit-identical to jobs = 1.
- *
- * @return results[workload][spec].
- */
+} // namespace
+
 std::vector<std::vector<coherence::EngineResults>>
-runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
-          const EvalOptions &opts,
-          const std::vector<EngineSpec> &specs)
+evaluateMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
+               const std::vector<EngineSpec> &specs,
+               const EvalOptions &opts)
 {
     std::vector<std::vector<coherence::EngineResults>> results(
         cfgs.size());
@@ -155,10 +131,8 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
         });
     }
     const std::vector<sim::SweepPoint> streams =
-        sim::runOrdered<sim::SweepPoint>(
-            static_cast<unsigned>(
-                std::min<std::size_t>(jobs, cfgs.size())),
-            fetches);
+        sim::runOrdered<sim::SweepPoint>(workersFor(jobs, cfgs.size()),
+                                         fetches);
 
     // Phase 2: one sweep point per (workload, engine) cell.
     sim::SweepRunner runner(jobs);
@@ -188,6 +162,9 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
     return results;
 }
 
+namespace
+{
+
 /** Each matrix column merged across the workloads. */
 std::vector<coherence::EngineResults>
 mergeColumns(
@@ -209,7 +186,7 @@ coherence::EngineResults
 runMerged(const std::vector<gen::WorkloadConfig> &cfgs,
           const EvalOptions &opts, EngineSpec spec)
 {
-    return mergeColumns(runMatrix(cfgs, opts, {std::move(spec)}), 1)
+    return mergeColumns(evaluateMatrix(cfgs, {std::move(spec)}, opts), 1)
         .front();
 }
 
@@ -255,7 +232,7 @@ evaluateWorkloads(const std::vector<gen::WorkloadConfig> &cfgs,
             return std::make_unique<coherence::DragonEngine>(units);
         }},
     };
-    const auto matrix = runMatrix(cfgs, opts, specs);
+    const auto matrix = evaluateMatrix(cfgs, specs, opts);
 
     Evaluation eval;
     eval.average.trace = "average";
@@ -283,13 +260,16 @@ evaluateStandard(bool fullSize)
 std::vector<trace::TraceCharacteristics>
 characterizeWorkloads(const std::vector<gen::WorkloadConfig> &cfgs)
 {
-    std::vector<trace::TraceCharacteristics> out;
+    std::vector<std::function<trace::TraceCharacteristics()>> tasks;
     for (const gen::WorkloadConfig &cfg : cfgs) {
-        gen::WorkloadSource source(cfg);
-        out.push_back(trace::characterize(source, cfg.name,
-                                          cfg.space.blockBytes));
+        tasks.push_back([&cfg] {
+            gen::WorkloadSource source(cfg);
+            return trace::characterize(source, cfg.name,
+                                       cfg.space.blockBytes);
+        });
     }
-    return out;
+    return sim::runOrdered<trace::TraceCharacteristics>(
+        workersFor(defaultEvalJobs(), cfgs.size()), tasks);
 }
 
 std::vector<coherence::EngineResults>
@@ -300,7 +280,7 @@ limitedSweep(const std::vector<gen::WorkloadConfig> &cfgs,
     std::vector<EngineSpec> specs;
     for (unsigned i : pointerCounts)
         specs.push_back(limitedSpec(i, opts.dirCache));
-    return mergeColumns(runMatrix(cfgs, opts, specs),
+    return mergeColumns(evaluateMatrix(cfgs, specs, opts),
                         pointerCounts.size());
 }
 

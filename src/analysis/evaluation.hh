@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "coherence/engine.hh"
 #include "coherence/results.hh"
 #include "directory/dir_cache.hh"
 #include "directory/entry.hh"
@@ -123,6 +124,52 @@ struct EvalOptions
     directory::DirCacheConfig dirCache;
 };
 
+/** Builds one engine for a given unit count. */
+using EngineFactory =
+    std::function<std::unique_ptr<coherence::CoherenceEngine>(unsigned)>;
+
+/**
+ * One engine column of an evaluation matrix: the factory that builds
+ * its engine, plus the multi-configuration collapse hint.  A nonzero
+ * limitedPointers marks the column as a plain DiriNB run (no
+ * directory cache) with that pointer count, which the sweep runner
+ * may run as one lane of a shared coherence::MultiLimitedEngine (see
+ * sim::SweepPoint::multiPointers).  The factory is the fallback when
+ * a workload carries fewer than two such columns.
+ */
+struct EngineSpec
+{
+    EngineFactory make;
+    unsigned limitedPointers = 0;
+};
+
+/**
+ * Run every engine column of @p specs over every workload of
+ * @p cfgs as ONE plan, and harvest each cell's results.
+ *
+ * Every evaluation in the process goes through here, at any job
+ * count.  Phase one fetches each workload's trace from
+ * sim::TraceRepository::global() — the in-memory PreparedTrace, or
+ * with opts.streamReplay the out-of-core StoredTrace — one task per
+ * workload on opts.jobs workers.  Phase two submits one sweep point
+ * per (workload, engine) cell to a single sim::SweepRunner.  A
+ * workload's cells share one fusion key, so each workload is one
+ * fused column pass over all of its engines, and its DiriNB columns
+ * (EngineSpec::limitedPointers) collapse into one shared
+ * MultiLimitedEngine.  The workloads of one call therefore generate
+ * and replay concurrently: a study that sweeps a parameter over many
+ * workloads should build every config first and make one call.
+ * Results come back in submission order, so any job count is
+ * bit-identical to jobs = 1.  A factory is called on worker threads
+ * and must be safe to call concurrently.
+ *
+ * @return results[workload][spec].
+ */
+std::vector<std::vector<coherence::EngineResults>>
+evaluateMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
+               const std::vector<EngineSpec> &specs,
+               const EvalOptions &opts = EvalOptions{});
+
 /** Run the three standard engines over each workload. */
 Evaluation evaluateWorkloads(const std::vector<gen::WorkloadConfig> &cfgs,
                              const EvalOptions &opts = EvalOptions{});
@@ -130,7 +177,10 @@ Evaluation evaluateWorkloads(const std::vector<gen::WorkloadConfig> &cfgs,
 /** The paper's campaign: pops, thor and pero. */
 Evaluation evaluateStandard(bool fullSize = false);
 
-/** Characterise each workload (Table 3). */
+/**
+ * Characterise each workload (Table 3): one task per workload on
+ * defaultEvalJobs() workers, results in @p cfgs order.
+ */
 std::vector<trace::TraceCharacteristics>
 characterizeWorkloads(const std::vector<gen::WorkloadConfig> &cfgs);
 

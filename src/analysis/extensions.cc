@@ -8,6 +8,7 @@
 #include "directory/full_map.hh"
 #include "directory/limited_pointer.hh"
 #include "directory/two_bit.hh"
+#include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "sim/cost_model.hh"
 
@@ -16,31 +17,56 @@ namespace dirsim::analysis
 
 using stats::TextTable;
 
+namespace
+{
+
+/** The scaled workload at each CPU count, refsPerCpu·n references. */
+std::vector<gen::WorkloadConfig>
+scaledConfigs(const std::vector<unsigned> &cpuCounts,
+              std::uint64_t refsPerCpu)
+{
+    std::vector<gen::WorkloadConfig> cfgs;
+    for (unsigned n : cpuCounts)
+        cfgs.push_back(gen::scaledConfig(n, refsPerCpu * n));
+    return cfgs;
+}
+
+/** An invalidation-engine column with the given home policy. */
+EngineSpec
+invalSpec(coherence::HomePolicy policy = coherence::HomePolicy::None)
+{
+    return {[policy](unsigned units) {
+        coherence::InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        cfg.homePolicy = policy;
+        return std::make_unique<coherence::InvalEngine>(cfg);
+    }};
+}
+
+} // namespace
+
 std::vector<ScalingPoint>
 scalingStudy(const std::vector<unsigned> &cpuCounts,
              std::uint64_t refsPerCpu)
 {
     const bus::BusCosts pipe = bus::standardBuses().pipelined;
+    const Evaluation eval =
+        evaluateWorkloads(scaledConfigs(cpuCounts, refsPerCpu));
     std::vector<ScalingPoint> points;
-    for (unsigned n : cpuCounts) {
-        const gen::WorkloadConfig cfg =
-            gen::scaledConfig(n, refsPerCpu * n);
-        const Evaluation eval = evaluateWorkloads({cfg});
-
+    for (std::size_t k = 0; k < cpuCounts.size(); ++k) {
+        const TraceEvaluation &te = eval.traces[k];
         ScalingPoint pt;
-        pt.nCpus = n;
-        const auto &iv = eval.average.inval;
+        pt.nCpus = cpuCounts[k];
+        const auto &iv = te.inval;
         pt.dir0bCycles =
             sim::computeCost(sim::Scheme::Dir0B, iv, pipe).total();
         pt.dirnnbCycles =
             sim::computeCost(sim::Scheme::DirNNBSeq, iv, pipe).total();
         pt.dir1nbCycles =
-            sim::computeCost(sim::Scheme::Dir1NB, eval.average.dir1nb,
-                             pipe)
+            sim::computeCost(sim::Scheme::Dir1NB, te.dir1nb, pipe)
                 .total();
         pt.dragonCycles =
-            sim::computeCost(sim::Scheme::Dragon, eval.average.dragon,
-                             pipe)
+            sim::computeCost(sim::Scheme::Dragon, te.dragon, pipe)
                 .total();
 
         stats::Histogram fanout;
@@ -197,13 +223,17 @@ std::vector<NetworkPoint>
 networkStudy(const std::vector<unsigned> &cpuCounts,
              std::uint64_t refsPerCpu)
 {
+    // Only the inval and dragon columns are priced here.
+    const auto matrix = evaluateMatrix(
+        scaledConfigs(cpuCounts, refsPerCpu),
+        {invalSpec(), {[](unsigned units) {
+             return std::make_unique<coherence::DragonEngine>(units);
+         }}});
     std::vector<NetworkPoint> points;
-    for (unsigned n : cpuCounts) {
-        const gen::WorkloadConfig cfg =
-            gen::scaledConfig(n, refsPerCpu * n);
-        const Evaluation eval = evaluateWorkloads({cfg});
-        const auto &iv = eval.average.inval;
-        const auto &dg = eval.average.dragon;
+    for (std::size_t k = 0; k < cpuCounts.size(); ++k) {
+        const unsigned n = cpuCounts[k];
+        const auto &iv = matrix[k][0];
+        const auto &dg = matrix[k][1];
 
         bus::NetworkParams net;
         net.nNodes = n;
@@ -296,24 +326,15 @@ std::vector<HomeLocalityPoint>
 homeLocalityStudy(const std::vector<unsigned> &cpuCounts,
                   std::uint64_t refsPerCpu)
 {
+    // Both placements replay side by side in one fused pass per trace.
+    const auto matrix =
+        evaluateMatrix(scaledConfigs(cpuCounts, refsPerCpu),
+                       {invalSpec(coherence::HomePolicy::Modulo),
+                        invalSpec(coherence::HomePolicy::FirstTouch)});
     std::vector<HomeLocalityPoint> points;
-    for (unsigned n : cpuCounts) {
-        const gen::WorkloadConfig cfg =
-            gen::scaledConfig(n, refsPerCpu * n);
-
-        auto run = [&](coherence::HomePolicy policy) {
-            sim::Simulator simulator;
-            coherence::InvalEngineConfig icfg;
-            icfg.nUnits = n;
-            icfg.homePolicy = policy;
-            auto &engine = simulator.addEngine(
-                std::make_unique<coherence::InvalEngine>(icfg));
-            gen::WorkloadSource source(cfg);
-            simulator.run(source);
-            return engine.results();
-        };
-        const auto modulo = run(coherence::HomePolicy::Modulo);
-        const auto first = run(coherence::HomePolicy::FirstTouch);
+    for (std::size_t k = 0; k < cpuCounts.size(); ++k) {
+        const auto &modulo = matrix[k][0];
+        const auto &first = matrix[k][1];
 
         auto local_frac = [](const coherence::EngineResults &r) {
             const double total = static_cast<double>(
@@ -334,7 +355,7 @@ homeLocalityStudy(const std::vector<unsigned> &cpuCounts,
         };
 
         HomeLocalityPoint pt;
-        pt.nCpus = n;
+        pt.nCpus = cpuCounts[k];
         pt.moduloLocalFrac = local_frac(modulo);
         pt.firstTouchLocalFrac = local_frac(first);
         pt.moduloRemotePerRef = remote_per_ref(modulo);

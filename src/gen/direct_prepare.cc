@@ -256,7 +256,9 @@ generatePrepared(const WorkloadConfig &cfg,
 
     // Staging columns sized to the upper bound (every reference kept
     // as a data reference); each chunk's pack task writes a disjoint
-    // [dataOffset, dataOffset + n) range.
+    // [dataOffset, dataOffset + n) range.  Only the written prefix is
+    // ever read, and AlignedVector leaves the rest unwritten, so the
+    // unused tail never becomes resident.
     util::AlignedVector<std::uint32_t> block(
         static_cast<std::size_t>(cfg.totalRefs));
     util::AlignedVector<std::uint8_t> unit(
@@ -283,6 +285,7 @@ generatePrepared(const WorkloadConfig &cfg,
 
     // Exact-size final columns: the staging upper bound would
     // otherwise inflate byteSize() (the repository's LRU budget).
+    // The memcpy below is their only initialisation.
     util::AlignedVector<std::uint32_t> outBlock(totals.dataRefs);
     util::AlignedVector<std::uint8_t> outUnit(totals.dataRefs);
     util::AlignedVector<std::uint8_t> outTypeFlags(totals.dataRefs);

@@ -112,6 +112,8 @@ PreparedTraceBuilder::PreparedTraceBuilder(const MemoryTrace &trace,
             std::to_string(opts.blockBytes));
 
     // --- Allocate the output columns ---------------------------------
+    // Left unwritten (AlignedVector default-initialises): the chunks
+    // decodeChunk() covers partition every column exactly.
     _out._instrRefs = instrRefs;
     _out._nUnits = unitsSeen;
     _out._nCpus = cpusSeen;

@@ -181,7 +181,7 @@ class FileWindow
             return static_cast<const std::uint8_t *>(_map) +
                    (offset - base);
         }
-        _buf.resize(std::size_t(len));
+        _buf.resize(std::size_t(len)); // preadFull fills every byte
         preadFull(_fd, _buf.data(), _buf.size(), offset, *_path);
         return _buf.data();
     }

@@ -24,7 +24,8 @@
  *    few references ahead of the FlatMap probe.
  *
  *  - AlignedVector: 64-byte-aligned column storage, so vector loads
- *    over the prepared columns never split a cache line.
+ *    over the prepared columns never split a cache line.  Sized
+ *    construction default-initialises (no zero-fill pass).
  *
  * Backend selection is compile-time only: -DDIRSIM_SIMD_SCALAR (CMake
  * option DIRSIM_SIMD_SCALAR) forces the SWAR kernel even when AVX2 or
@@ -40,7 +41,11 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include <sys/mman.h>
 
 #if !defined(DIRSIM_SIMD_SCALAR)
 #if defined(__AVX2__)
@@ -78,9 +83,22 @@ constexpr std::size_t kPrefetchDistance = 8;
 constexpr std::uint8_t kTypeLaneMask = 0x03;
 
 /**
+ * Column allocations of at least this many bytes are mapped straight
+ * from the kernel (page-aligned, so cache-line-aligned too) and
+ * unmapped on free.  A multi-megabyte trace column then never passes
+ * through malloc: freeing it returns its pages to the OS at once
+ * instead of leaving a hole in a malloc arena, and it does not raise
+ * glibc's dynamic mmap threshold, which would push later large
+ * allocations into arenas.  Concurrent trace builds and replays would
+ * otherwise grow peak RSS through that fragmentation alone.
+ */
+constexpr std::size_t kDirectMapBytes = std::size_t(1) << 20;
+
+/**
  * Minimal 64-byte-aligning allocator.  std::allocator only guarantees
  * alignof(std::max_align_t) (16 on x86-64); the prepared columns want
  * cache-line alignment so a 64-byte vector load never splits lines.
+ * Large columns are mapped directly (kDirectMapBytes).
  */
 template <typename T>
 struct AlignedAllocator
@@ -97,14 +115,46 @@ struct AlignedAllocator
     T *
     allocate(std::size_t n)
     {
-        return static_cast<T *>(
-            ::operator new(n * sizeof(T), alignment));
+        const std::size_t bytes = n * sizeof(T);
+        if (bytes >= kDirectMapBytes) {
+            void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (p == MAP_FAILED)
+                throw std::bad_alloc();
+            return static_cast<T *>(p);
+        }
+        return static_cast<T *>(::operator new(bytes, alignment));
     }
 
     void
-    deallocate(T *p, std::size_t) noexcept
+    deallocate(T *p, std::size_t n) noexcept
     {
-        ::operator delete(p, alignment);
+        const std::size_t bytes = n * sizeof(T);
+        if (bytes >= kDirectMapBytes)
+            ::munmap(p, bytes);
+        else
+            ::operator delete(p, alignment);
+    }
+
+    /**
+     * Default-initialise: a sized construction or resize(n) leaves
+     * trivial elements unwritten, so a column that is filled before
+     * it is read never pays a zero-fill pass (nor makes every page
+     * resident up front).  Ask for a value explicitly — resize(n, 0)
+     * — where the elements are read before they are written.
+     */
+    template <typename U>
+    void
+    construct(U *p) noexcept(std::is_nothrow_default_constructible_v<U>)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
     }
 
     template <typename U>

@@ -609,3 +609,218 @@ TEST(Analytical, StudyShowsUniformityGap)
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// Batched studies: each study submits all of its CPU counts (or
+// workloads) as one evaluateMatrix plan.  These oracles are the
+// per-count code the studies ran before, kept here so the batched
+// plan is held to exactly the same numbers.
+
+#include "bus/bus_model.hh"
+#include "bus/network.hh"
+#include "sim/cost_model.hh"
+
+namespace
+{
+
+using namespace dirsim;
+using namespace dirsim::analysis;
+
+/** Per-count oracle: one evaluateWorkloads({cfg}) call per count. */
+Evaluation
+perCountEval(unsigned n, std::uint64_t refsPerCpu)
+{
+    return evaluateWorkloads({gen::scaledConfig(n, refsPerCpu * n)});
+}
+
+TEST(BatchedStudies, ScalingStudyMatchesPerCountEvaluations)
+{
+    const std::vector<unsigned> counts = {2, 4, 8};
+    const auto points = scalingStudy(counts, 20'000);
+    ASSERT_EQ(points.size(), counts.size());
+    const bus::BusCosts pipe = bus::standardBuses().pipelined;
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+        const Evaluation eval = perCountEval(counts[k], 20'000);
+        const auto &iv = eval.average.inval;
+        stats::Histogram fanout;
+        fanout.merge(iv.whClnFanout);
+        fanout.merge(iv.wmClnFanout);
+        const ScalingPoint &pt = points[k];
+        EXPECT_EQ(pt.nCpus, counts[k]);
+        EXPECT_EQ(pt.dir0bCycles,
+                  sim::computeCost(sim::Scheme::Dir0B, iv, pipe).total());
+        EXPECT_EQ(
+            pt.dirnnbCycles,
+            sim::computeCost(sim::Scheme::DirNNBSeq, iv, pipe).total());
+        EXPECT_EQ(pt.dir1nbCycles,
+                  sim::computeCost(sim::Scheme::Dir1NB,
+                                   eval.average.dir1nb, pipe)
+                      .total());
+        EXPECT_EQ(pt.dragonCycles,
+                  sim::computeCost(sim::Scheme::Dragon,
+                                   eval.average.dragon, pipe)
+                      .total());
+        EXPECT_EQ(pt.fracAtMostOne, fanout.fracAtMost(1));
+        EXPECT_EQ(pt.meanFanout, fanout.mean());
+        EXPECT_EQ(pt.broadcastEventFrac, 1.0 - fanout.fracAtMost(1));
+    }
+}
+
+/** The network pricing of one count, from a per-count evaluation. */
+NetworkPoint
+networkOracle(unsigned n, const Evaluation &eval)
+{
+    const auto &iv = eval.average.inval;
+    const auto &dg = eval.average.dragon;
+    bus::NetworkParams net;
+    net.nNodes = n;
+    const bus::BusCosts directed = bus::networkCosts(net);
+    const double bcast = bus::networkBroadcastCost(net);
+
+    NetworkPoint pt;
+    pt.nCpus = n;
+    bus::BusCosts broadcast_costs = directed;
+    broadcast_costs.invalidate = static_cast<unsigned>(bcast);
+    pt.dir0bBroadcast =
+        sim::computeCost(sim::Scheme::Dir0B, iv, broadcast_costs).total();
+    pt.dirnnbDirected =
+        sim::computeCost(sim::Scheme::DirNNBSeq, iv, directed).total();
+    sim::CostOptions opts;
+    opts.broadcastCost = bcast;
+    opts.nPointers = 1;
+    pt.dir1b =
+        sim::computeCost(sim::Scheme::DirIB, iv, directed, opts).total();
+    opts.nPointers = 4;
+    pt.dir4b =
+        sim::computeCost(sim::Scheme::DirIB, iv, directed, opts).total();
+    bus::BusCosts wti_costs = directed;
+    wti_costs.writeWord = static_cast<unsigned>(bcast) + 1;
+    pt.wtiBroadcast =
+        sim::computeCost(sim::Scheme::WTI, iv, wti_costs).total();
+
+    const double refs = static_cast<double>(dg.events.totalRefs());
+    const double update_events =
+        static_cast<double>(dg.events.count(coherence::Event::WhDistrib)) +
+        static_cast<double>(dg.events.count(coherence::Event::WmBlkCln)) +
+        static_cast<double>(dg.events.count(coherence::Event::WmBlkDrty));
+    const double update_messages =
+        static_cast<double>(dg.whClnFanout.totalWeight()) +
+        static_cast<double>(dg.wmClnFanout.totalWeight());
+    const double extra = refs == 0.0 ? 0.0
+                                     : (update_messages - update_events) *
+                                           directed.writeWord / refs;
+    pt.dragonDirected =
+        sim::computeCost(sim::Scheme::Dragon, dg, directed).total() +
+        std::max(0.0, extra);
+    return pt;
+}
+
+TEST(BatchedStudies, NetworkStudyMatchesPerCountEvaluations)
+{
+    const std::vector<unsigned> counts = {2, 4, 8, 16};
+    const auto points = networkStudy(counts, 10'000);
+    ASSERT_EQ(points.size(), counts.size());
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+        const NetworkPoint want =
+            networkOracle(counts[k], perCountEval(counts[k], 10'000));
+        const NetworkPoint &got = points[k];
+        EXPECT_EQ(got.nCpus, want.nCpus);
+        EXPECT_EQ(got.dir0bBroadcast, want.dir0bBroadcast);
+        EXPECT_EQ(got.dirnnbDirected, want.dirnnbDirected);
+        EXPECT_EQ(got.dir1b, want.dir1b);
+        EXPECT_EQ(got.dir4b, want.dir4b);
+        EXPECT_EQ(got.wtiBroadcast, want.wtiBroadcast);
+        EXPECT_EQ(got.dragonDirected, want.dragonDirected);
+    }
+}
+
+/** Home-placement oracle: a raw Simulator over a freshly generated
+ *  WorkloadSource, one run per policy. */
+coherence::EngineResults
+rawHomeRun(const gen::WorkloadConfig &cfg, unsigned n,
+           coherence::HomePolicy policy)
+{
+    sim::Simulator simulator;
+    coherence::InvalEngineConfig icfg;
+    icfg.nUnits = n;
+    icfg.homePolicy = policy;
+    auto &engine = simulator.addEngine(
+        std::make_unique<coherence::InvalEngine>(icfg));
+    gen::WorkloadSource source(cfg);
+    simulator.run(source);
+    return engine.results();
+}
+
+TEST(BatchedStudies, HomeLocalityStudyMatchesRawSimulatorRuns)
+{
+    const std::vector<unsigned> counts = {4, 8};
+    const auto points = homeLocalityStudy(counts, 25'000);
+    ASSERT_EQ(points.size(), counts.size());
+    auto local_frac = [](const coherence::EngineResults &r) {
+        const double total = static_cast<double>(
+            r.homeLocalTransactions + r.homeRemoteTransactions);
+        return total == 0.0
+                   ? 0.0
+                   : static_cast<double>(r.homeLocalTransactions) / total;
+    };
+    auto remote_per_ref = [](const coherence::EngineResults &r) {
+        const double refs = static_cast<double>(r.events.totalRefs());
+        return refs == 0.0
+                   ? 0.0
+                   : static_cast<double>(r.homeRemoteTransactions) / refs;
+    };
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+        const unsigned n = counts[k];
+        const gen::WorkloadConfig cfg = gen::scaledConfig(n, 25'000 * n);
+        const auto modulo =
+            rawHomeRun(cfg, n, coherence::HomePolicy::Modulo);
+        const auto first =
+            rawHomeRun(cfg, n, coherence::HomePolicy::FirstTouch);
+        ASSERT_GT(modulo.homeLocalTransactions, 0u);
+        const HomeLocalityPoint &pt = points[k];
+        EXPECT_EQ(pt.nCpus, n);
+        EXPECT_EQ(pt.moduloLocalFrac, local_frac(modulo));
+        EXPECT_EQ(pt.firstTouchLocalFrac, local_frac(first));
+        EXPECT_EQ(pt.moduloRemotePerRef, remote_per_ref(modulo));
+        EXPECT_EQ(pt.firstTouchRemotePerRef, remote_per_ref(first));
+    }
+}
+
+/** Restores the process-wide default job count on scope exit. */
+struct DefaultJobsGuard
+{
+    unsigned saved = defaultEvalJobs();
+    ~DefaultJobsGuard() { setDefaultEvalJobs(saved); }
+};
+
+TEST(BatchedStudies, CharacterizeWorkloadsIdenticalAtAnyJobCount)
+{
+    const DefaultJobsGuard guard;
+    const auto workloads = smallWorkloads();
+    setDefaultEvalJobs(1);
+    const auto serial = characterizeWorkloads(workloads);
+    setDefaultEvalJobs(4);
+    const auto parallel = characterizeWorkloads(workloads);
+    ASSERT_EQ(serial.size(), workloads.size());
+    ASSERT_EQ(parallel.size(), workloads.size());
+    for (std::size_t k = 0; k < workloads.size(); ++k) {
+        const trace::TraceCharacteristics &a = serial[k];
+        const trace::TraceCharacteristics &b = parallel[k];
+        EXPECT_EQ(a.name, workloads[k].name);
+        EXPECT_EQ(b.name, a.name);
+        EXPECT_EQ(b.refs, a.refs);
+        EXPECT_EQ(b.instr, a.instr);
+        EXPECT_EQ(b.dataReads, a.dataReads);
+        EXPECT_EQ(b.dataWrites, a.dataWrites);
+        EXPECT_EQ(b.user, a.user);
+        EXPECT_EQ(b.system, a.system);
+        EXPECT_EQ(b.lockTestReads, a.lockTestReads);
+        EXPECT_EQ(b.uniqueDataBlocks, a.uniqueDataBlocks);
+        EXPECT_EQ(b.sharedDataBlocks, a.sharedDataBlocks);
+        EXPECT_EQ(b.refsToSharedBlocks, a.refsToSharedBlocks);
+        EXPECT_EQ(b.writesToSharedBlocks, a.writesToSharedBlocks);
+        EXPECT_EQ(a.refs, workloads[k].totalRefs);
+    }
+}
+
+} // namespace

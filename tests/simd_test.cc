@@ -123,6 +123,28 @@ TEST(SimdKernels, AlignedVectorIsCacheLineAligned)
               0u);
 }
 
+TEST(SimdKernels, DirectMappedAlignedVectorKeepsExplicitValues)
+{
+    // Large enough for the allocator's direct-mapped path.
+    const std::size_t n = util::kDirectMapBytes / sizeof(std::int32_t) + 3;
+    util::AlignedVector<std::int32_t> v;
+    v.resize(n, -1);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) %
+                  util::kCacheLineBytes,
+              0u);
+    EXPECT_EQ(v.front(), -1);
+    EXPECT_EQ(v.back(), -1);
+    // Growing past the mapping moves it; values survive the move.
+    v.push_back(5);
+    v.resize(2 * n, 0);
+    EXPECT_EQ(v[n - 1], -1);
+    EXPECT_EQ(v[n], 5);
+    EXPECT_EQ(v.back(), 0);
+    v.clear();
+    v.shrink_to_fit();
+    EXPECT_EQ(v.capacity(), 0u);
+}
+
 TEST(SimdKernels, BackendNameIsKnown)
 {
     const std::string name = util::simdBackendName();
