@@ -161,15 +161,31 @@ BENCHMARK(BM_TimedBusRun)->Unit(benchmark::kMillisecond);
 void
 BM_EventQueueChurn(benchmark::State &state)
 {
+    // The timed bus's event pattern: 16 CPUs, each re-armed one or two
+    // cycles ahead, and a five-cycle bus tenure whenever the bus frees.
     for (auto _ : state) {
-        timing::EventQueue eq;
+        timing::CycleCalendar calendar(16, 2);
+        for (unsigned c = 0; c < 16; ++c)
+            calendar.scheduleCpu(0, c);
+        bool busPending = false;
         std::uint64_t acc = 0;
-        for (unsigned round = 0; round < 64; ++round) {
-            for (unsigned c = 0; c < 16; ++c)
-                eq.push((round * 37 + c * 11) % 101,
-                        timing::EventKind::CpuReady, c);
-            while (!eq.empty())
-                acc += eq.pop().time;
+        while (calendar.advance()) {
+            const std::uint64_t now = calendar.now();
+            if (calendar.takeBusCompletion()) {
+                busPending = false;
+                acc += now;
+            }
+            unsigned cpu;
+            while (calendar.popCpu(cpu)) {
+                acc += cpu;
+                if (now < 1024)
+                    calendar.scheduleCpu(now + 1 + (now + cpu) % 2,
+                                         cpu);
+            }
+            if (!busPending && now < 1024) {
+                calendar.scheduleBus(now + 5);
+                busPending = true;
+            }
         }
         benchmark::DoNotOptimize(acc);
     }

@@ -1,71 +1,174 @@
 /**
  * @file
- * Discrete-event queue and clock for the timed bus simulator.
+ * Event calendar and clock for the timed bus simulator.
  *
  * The static cost models of sim/cost_model.hh never advance time; the
  * timed subsystem does, and everything rides on one invariant: events
  * are delivered in a *deterministic total order*.  Two runs of the
  * same configuration — serial or fanned out across sweep workers —
- * must replay the identical event sequence, so the ordering key is
- * (time, kind, cpu, sequence) with no dependence on heap insertion
- * history or pointer values.
+ * must replay the identical event sequence.  The order is
+ * (time, kind, cpu): within one cycle the bus completion comes first,
+ * so a transaction that frees the bus and the requests that arrive on
+ * that same cycle all reach the arbiter within one grant phase; then
+ * the CPUs that are ready, in ascending index.
  *
- * Bus completions sort before CPU-ready events at the same cycle so a
- * transaction that frees the bus and the requests that arrive on that
- * same cycle all reach the arbiter within one grant phase.
+ * The timed bus needs no general priority queue to keep that order,
+ * because of two facts about its events:
+ *  - each CPU has at most one pending wake-up, and the bus at most one
+ *    pending completion;
+ *  - a CPU is never woken more than a fixed horizon ahead of the
+ *    current cycle (TimedBusSim's max(cyclesPerRef, memExtraLatency)),
+ *    while the bus completion may lie arbitrarily far ahead.
+ * So CycleCalendar keeps the completion as one scalar and the CPU
+ * wake-ups in a power-of-two ring of per-cycle bitmasks, one bit per
+ * CPU, covering [now, now + horizon].  Popping the lowest set bit of
+ * the current cycle's mask yields the CPUs in index order; a CPU
+ * re-armed for the current cycle sets its bit again and so is
+ * delivered in that same cycle, in index order among the CPUs still
+ * waiting there.
  */
 
 #ifndef DIRSIM_TIMING_EVENT_QUEUE_HH
 #define DIRSIM_TIMING_EVENT_QUEUE_HH
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
 namespace dirsim::timing
 {
 
-/** What a scheduled event wakes up. */
-enum class EventKind : std::uint8_t
-{
-    BusComplete = 0, //!< The transaction on the bus finished.
-    CpuReady = 1,    //!< A CPU is ready to issue its next action.
-};
-
-/** One scheduled wake-up. */
-struct Event
-{
-    std::uint64_t time = 0;
-    EventKind kind = EventKind::CpuReady;
-    unsigned cpu = 0;       //!< Port index the event belongs to.
-    std::uint64_t seq = 0;  //!< Schedule order; final tie-breaker.
-};
-
 /**
- * Min-priority queue of Events with the deterministic ordering
- * described in the file header.  A plain binary heap over a vector;
- * the sequence number is assigned by push() so identical (time, kind,
- * cpu) keys still pop in schedule order.
+ * Per-cycle calendar of CPU wake-ups plus one pending bus completion,
+ * delivered in the order described in the file header.
+ *
+ * Drive it one cycle at a time: advance() moves the clock to the next
+ * cycle holding an event, takeBusCompletion() consumes that cycle's
+ * completion (if any), and popCpu() then yields its ready CPUs until
+ * none is left.  Anything scheduled for the current cycle meanwhile is
+ * delivered before advance() moves on.
  */
-class EventQueue
+class CycleCalendar
 {
   public:
-    /** Schedule @p kind for @p cpu at absolute cycle @p time. */
-    void push(std::uint64_t time, EventKind kind, unsigned cpu);
+    /** Largest wake-up horizon a calendar accepts, in cycles. */
+    static constexpr std::uint64_t maxHorizon = 65536;
 
-    /** Remove and return the front event; queue must not be empty. */
-    Event pop();
+    /**
+     * @param nCpus   CPUs [0, nCpus) that can be scheduled.
+     * @param horizon Furthest a CPU wake-up may lie beyond the current
+     *                cycle (at most maxHorizon).
+     */
+    CycleCalendar(unsigned nCpus, std::uint64_t horizon)
+        : _words((nCpus + 63) / 64),
+          _mask(std::bit_ceil(horizon + 1) - 1),
+          _horizon(horizon),
+          _bits((_mask + 1) * _words, 0)
+    {
+        assert(horizon <= maxHorizon);
+    }
 
-    /** Time of the front event; queue must not be empty. */
-    std::uint64_t nextTime() const;
+    /** The current cycle. */
+    std::uint64_t now() const { return _now; }
 
-    bool empty() const { return _heap.empty(); }
-    std::size_t size() const { return _heap.size(); }
+    /** Wake @p cpu at cycle @p time, within [now, now + horizon].
+     *  The CPU must have no wake-up pending. */
+    void
+    scheduleCpu(std::uint64_t time, unsigned cpu)
+    {
+        assert(time >= _now && time - _now <= _horizon);
+        std::uint64_t &word = slot(time)[cpu / 64];
+        const std::uint64_t bit = std::uint64_t(1) << (cpu % 64);
+        assert(cpu / 64 < _words && !(word & bit));
+        word |= bit;
+        ++_pendingCpus;
+    }
+
+    /** Complete the bus tenure at cycle @p time (at or after now).
+     *  No other completion may be pending. */
+    void
+    scheduleBus(std::uint64_t time)
+    {
+        assert(!_busPending && time >= _now);
+        _busPending = true;
+        _busTime = time;
+    }
+
+    /**
+     * Move the clock to the earliest cycle at or after now that holds
+     * an event.
+     * @retval false Nothing is scheduled; the clock stays put.
+     */
+    bool
+    advance()
+    {
+        if (_pendingCpus == 0) {
+            if (!_busPending)
+                return false;
+            _now = _busTime;
+            return true;
+        }
+        // Some mask in [now, now + horizon] is non-empty, so the scan
+        // stops within the horizon (or at an earlier completion).
+        std::uint64_t t = _now;
+        while (!(_busPending && t == _busTime) && slotEmpty(t))
+            ++t;
+        _now = t;
+        return true;
+    }
+
+    /** Consume the bus completion due this cycle, if there is one. */
+    bool
+    takeBusCompletion()
+    {
+        if (!_busPending || _busTime != _now)
+            return false;
+        _busPending = false;
+        return true;
+    }
+
+    /** Consume the lowest-index CPU due this cycle, if there is one. */
+    bool
+    popCpu(unsigned &cpu)
+    {
+        std::uint64_t *words = slot(_now);
+        for (unsigned w = 0; w < _words; ++w) {
+            if (words[w] != 0) {
+                cpu = w * 64 + unsigned(std::countr_zero(words[w]));
+                words[w] &= words[w] - 1;
+                --_pendingCpus;
+                return true;
+            }
+        }
+        return false;
+    }
 
   private:
-    static bool before(const Event &a, const Event &b);
+    std::uint64_t *
+    slot(std::uint64_t time)
+    {
+        return &_bits[(time & _mask) * _words];
+    }
 
-    std::vector<Event> _heap;
-    std::uint64_t _nextSeq = 0;
+    bool
+    slotEmpty(std::uint64_t time)
+    {
+        const std::uint64_t *words = slot(time);
+        for (unsigned w = 0; w < _words; ++w)
+            if (words[w] != 0)
+                return false;
+        return true;
+    }
+
+    unsigned _words;       //!< Mask words per cycle.
+    std::uint64_t _mask;   //!< Ring length - 1 (a power of two - 1).
+    std::uint64_t _horizon;
+    std::vector<std::uint64_t> _bits;
+    std::uint64_t _now = 0;
+    std::uint64_t _pendingCpus = 0;
+    bool _busPending = false;
+    std::uint64_t _busTime = 0;
 };
 
 } // namespace dirsim::timing

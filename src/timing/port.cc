@@ -5,16 +5,14 @@
 namespace dirsim::timing
 {
 
-PortRef
-RequestPort::takeRef()
+bool
+RequestPort::nextSpan()
 {
-    assert(hasMoreRefs());
-    ++_stats.refs;
-    std::uint32_t block;
-    std::uint8_t unit;
-    std::uint8_t typeFlags;
-    _cursor->take(block, unit, typeFlags);
-    return PortRef{unit, trace::packedRefType(typeFlags), block};
+    if (!_cursor->nextSpan(_span))
+        return false;
+    assert(_span.n != 0);
+    _next = 0;
+    return true;
 }
 
 void

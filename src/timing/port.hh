@@ -20,8 +20,9 @@
 #ifndef DIRSIM_TIMING_PORT_HH
 #define DIRSIM_TIMING_PORT_HH
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "mem/block.hh"
 #include "timing/transactions.hh"
@@ -68,10 +69,10 @@ struct PortRef
  * The port *reads* its stream through a trace::CpuRefCursor rather
  * than owning an array-of-structs copy: the timed replay either walks
  * a PreparedCpuStream borrowed from a shared PreparedTrace (or
- * demuxed locally from a raw source), or streams a chunk window at a
- * time out of a trace::StoredTrace — one virtual call per reference,
- * noise next to the event loop around it.  The cursor must outlive
- * the port.
+ * demuxed locally from a raw source) as one span, or streams a
+ * trace::StoredTrace one chunk span at a time.  The port walks the
+ * current span inline and asks the cursor for the next one only when
+ * it runs dry.  The cursor must outlive the port.
  */
 class RequestPort
 {
@@ -83,11 +84,24 @@ class RequestPort
 
     unsigned cpu() const { return _cpu; }
 
-    /** References remain to execute (may refill a file window). */
-    bool hasMoreRefs() { return !_cursor->atEnd(); }
+    /** References remain to execute (may fetch the next span). */
+    bool
+    hasMoreRefs()
+    {
+        return _next < _span.n || nextSpan();
+    }
 
     /** Consume the next reference (hasMoreRefs() must hold). */
-    PortRef takeRef();
+    PortRef
+    takeRef()
+    {
+        assert(_next < _span.n);
+        ++_stats.refs;
+        const std::size_t i = _next++;
+        return PortRef{_span.unit[i],
+                       trace::packedRefType(_span.typeFlags[i]),
+                       _span.block[i]};
+    }
 
     /**
      * Begin a stall: the reference consumed at cycle @p now produced
@@ -115,8 +129,13 @@ class RequestPort
     const CpuTimedStats &stats() const { return _stats; }
 
   private:
+    /** Move to the cursor's next span; false at end of stream. */
+    bool nextSpan();
+
     unsigned _cpu;
     trace::CpuRefCursor *_cursor;
+    trace::PreparedSpan _span;
+    std::size_t _next = 0; //!< Next reference within _span.
 
     RefCharge _charge;
     unsigned _txnNext = 0;

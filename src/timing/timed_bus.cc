@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "sim/unit_map.hh"
 #include "timing/event_queue.hh"
@@ -68,6 +69,20 @@ TimedRun::identicalTo(const TimedRun &other) const
            engine == other.engine;
 }
 
+namespace
+{
+
+/** Furthest ahead of the current cycle runPorts() wakes a CPU: after
+ *  a bus-free reference, or after a tenure's off-bus memory wait. */
+std::uint64_t
+wakeHorizon(const TimedBusConfig &cfg)
+{
+    return std::max<std::uint64_t>(cfg.cyclesPerRef,
+                                   cfg.bus.memExtraLatency);
+}
+
+} // namespace
+
 TimedBusSim::TimedBusSim(
     const TimedBusConfig &cfg,
     std::unique_ptr<coherence::CoherenceEngine> engine)
@@ -75,6 +90,13 @@ TimedBusSim::TimedBusSim(
 {
     if (!_engine)
         throw std::invalid_argument("TimedBusSim: engine is null");
+    // The event calendar spans the wake-up horizon, so bound it
+    // before a run allocates one.
+    if (wakeHorizon(_cfg) > CycleCalendar::maxHorizon)
+        throw std::invalid_argument(
+            "TimedBusSim: cyclesPerRef and memExtraLatency must not "
+            "exceed " + std::to_string(CycleCalendar::maxHorizon) +
+            " cycles");
 }
 
 TimedBusSim::~TimedBusSim() = default;
@@ -226,10 +248,10 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
     const auto arbiter = BusArbiter::make(_cfg.discipline, nCpus);
 
     // --- The discrete-event loop -------------------------------------
-    EventQueue eq;
+    CycleCalendar calendar(nCpus, wakeHorizon(_cfg));
     std::vector<BusRequest> waiters;
     bool busBusy = false;
-    [[maybe_unused]] unsigned busHolder = 0;
+    unsigned busHolder = 0;
     bool busUsesMemory = false;
     std::uint64_t reqSeq = 0;
 
@@ -243,34 +265,32 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
     };
 
     for (unsigned p = 0; p < nCpus; ++p)
-        eq.push(0, EventKind::CpuReady, p);
+        calendar.scheduleCpu(0, p);
 
-    while (!eq.empty()) {
-        const std::uint64_t now = eq.nextTime();
+    while (calendar.advance()) {
+        const std::uint64_t now = calendar.now();
 
         // Deliver every event of this cycle before arbitrating, so a
         // freed bus and the requests arriving on the same cycle meet
         // in one grant phase.
-        while (!eq.empty() && eq.nextTime() == now) {
-            const Event ev = eq.pop();
-            RequestPort &port = ports[ev.cpu];
+        if (calendar.takeBusCompletion()) {
+            assert(busBusy);
+            busBusy = false;
+            RequestPort &port = ports[busHolder];
+            // Pipelined buses: the requester sees the data only after
+            // the off-bus memory wait.
+            const std::uint64_t done =
+                now + (busUsesMemory ? _cfg.bus.memExtraLatency : 0);
+            if (!port.hasPendingTxn())
+                port.endStall(done);
+            calendar.scheduleCpu(done, busHolder);
+        }
 
-            if (ev.kind == EventKind::BusComplete) {
-                assert(busBusy && busHolder == ev.cpu);
-                busBusy = false;
-                // Pipelined buses: the requester sees the data only
-                // after the off-bus memory wait.
-                const std::uint64_t done =
-                    now + (busUsesMemory ? _cfg.bus.memExtraLatency
-                                         : 0);
-                if (!port.hasPendingTxn())
-                    port.endStall(done);
-                eq.push(done, EventKind::CpuReady, ev.cpu);
-                continue;
-            }
-
-            // CpuReady: either issue the next tenure of a stalled
-            // reference, or execute the next reference.
+        unsigned cpu;
+        while (calendar.popCpu(cpu)) {
+            RequestPort &port = ports[cpu];
+            // Either issue the next tenure of a stalled reference, or
+            // execute the next reference.
             if (port.hasPendingTxn()) {
                 issue(port, now);
                 continue;
@@ -283,8 +303,7 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
             _engine->access(ref.unit, ref.type, ref.block);
             const RefCharge charge = model.charge(_engine->results());
             if (charge.empty()) {
-                eq.push(now + _cfg.cyclesPerRef, EventKind::CpuReady,
-                        ev.cpu);
+                calendar.scheduleCpu(now + _cfg.cyclesPerRef, cpu);
                 continue;
             }
             port.beginStall(charge, now);
@@ -305,8 +324,7 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
             busBusy = true;
             busHolder = req.cpu;
             busUsesMemory = req.usesMemory;
-            eq.push(now + req.busCycles, EventKind::BusComplete,
-                    req.cpu);
+            calendar.scheduleBus(now + req.busCycles);
         }
     }
     assert(waiters.empty());

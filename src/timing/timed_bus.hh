@@ -80,7 +80,9 @@ struct TimedBusConfig
     sim::CostOptions costOpts;
     TimedBusModel bus = timedPipelinedBus();
     Discipline discipline = Discipline::FCFS;
-    /** CPU cycles consumed by a reference that needs no bus tenure. */
+    /** CPU cycles consumed by a reference that needs no bus tenure.
+     *  It and bus.memExtraLatency bound how far ahead a CPU is woken;
+     *  TimedBusSim rejects either above 65,536 cycles. */
     unsigned cyclesPerRef = 1;
     /** Block size and sharing domain (matches sim::Simulator). */
     sim::SimConfig sim;
@@ -130,7 +132,10 @@ struct TimedRun
  * Runs one (scheme, bus, discipline) configuration over a reference
  * stream.  The engine must match sim::engineKindFor(cfg.scheme),
  * exactly as with sim::computeCost, and its unit count must cover
- * the stream's sharing units (std::runtime_error otherwise).
+ * the stream's sharing units (std::runtime_error otherwise).  The
+ * constructor throws std::invalid_argument for a null engine or a
+ * wake-up horizon (cfg.cyclesPerRef, cfg.bus.memExtraLatency) beyond
+ * CycleCalendar::maxHorizon.
  */
 class TimedBusSim
 {
@@ -168,7 +173,7 @@ class TimedBusSim
     const TimedBusConfig &config() const { return _cfg; }
 
   private:
-    /** The discrete-event loop shared by both entry points. */
+    /** The discrete-event loop shared by every entry point. */
     TimedRun runPorts(std::vector<RequestPort> &ports);
 
     TimedBusConfig _cfg;

@@ -153,23 +153,26 @@ class PreparedSpanSource
 /**
  * Sequential reader over one CPU's timed stream (instruction fetches
  * included), the per-CPU analogue of PreparedSpanSource.  The timed
- * bus replays one of these per port; atEnd() may do work (refill a
- * file window), so it is deliberately non-const.
+ * bus replays one of these per port and walks each span inline, so
+ * it makes one virtual call per span rather than per reference.
  */
 class CpuRefCursor
 {
   public:
     virtual ~CpuRefCursor() = default;
 
-    /** The stream is exhausted (may refill an internal window). */
-    virtual bool atEnd() = 0;
-
-    /** Consume the next reference; atEnd() must have returned false. */
-    virtual void take(std::uint32_t &block, std::uint8_t &unit,
-                      std::uint8_t &typeFlags) = 0;
+    /**
+     * Produce the next span of the stream.  Its pointers stay valid
+     * until the next call on this cursor (a file-backed cursor
+     * recycles its window).
+     * @retval true @p span was filled with at least one reference.
+     * @retval false End of stream; @p span is untouched.
+     */
+    virtual bool nextSpan(PreparedSpan &span) = 0;
 };
 
-/** CpuRefCursor over an in-memory PreparedCpuStream. */
+/** CpuRefCursor over an in-memory PreparedCpuStream: the whole stream
+ *  is one span. */
 class PreparedCpuStreamCursor final : public CpuRefCursor
 {
   public:
@@ -179,21 +182,20 @@ class PreparedCpuStreamCursor final : public CpuRefCursor
     {
     }
 
-    bool atEnd() override { return _next >= _stream->size(); }
-
-    void
-    take(std::uint32_t &block, std::uint8_t &unit,
-         std::uint8_t &typeFlags) override
+    bool
+    nextSpan(PreparedSpan &span) override
     {
-        block = _stream->block[_next];
-        unit = _stream->unit[_next];
-        typeFlags = _stream->typeFlags[_next];
-        ++_next;
+        if (_done || _stream->size() == 0)
+            return false;
+        span = PreparedSpan{_stream->block.data(), _stream->unit.data(),
+                            _stream->typeFlags.data(), _stream->size()};
+        _done = true;
+        return true;
     }
 
   private:
     const PreparedCpuStream *_stream;
-    std::size_t _next = 0;
+    bool _done = false;
 };
 
 /**

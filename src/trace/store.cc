@@ -711,7 +711,8 @@ class StoredSpanCursor final : public PreparedSpanSource
     bool _doneEmpty = false;
 };
 
-/** CpuRefCursor over one CPU's stream chunks in a StoredTrace. */
+/** CpuRefCursor over one CPU's stream chunks in a StoredTrace: one
+ *  span per (non-empty) chunk. */
 class StoredCpuCursor final : public CpuRefCursor
 {
   public:
@@ -724,49 +725,34 @@ class StoredCpuCursor final : public CpuRefCursor
     }
 
     bool
-    atEnd() override
+    nextSpan(PreparedSpan &span) override
     {
-        while (_i >= _n) {
-            if (_nextChunk >= _chunks->size())
-                return true;
-            const StoredTrace::ChunkRef &c = (*_chunks)[_nextChunk];
+        while (_next < _chunks->size()) {
+            const StoredTrace::ChunkRef &c = (*_chunks)[_next];
             const std::uint8_t *p = viewChunk(
                 _window, *_trace, c.offset, c.nRefs, c.digest,
                 _trace->_readOpts.verifyDigests, _trace->path());
-            _block = reinterpret_cast<const std::uint32_t *>(p);
-            _unit = p + 4 * c.nRefs;
-            _typeFlags = p + 5 * c.nRefs;
-            _n = std::size_t(c.nRefs);
-            _i = 0;
-            ++_nextChunk;
-            if (_nextChunk < _chunks->size())
+            ++_next;
+            if (_next < _chunks->size())
                 _window.prefetch(
-                    (*_chunks)[_nextChunk].offset,
-                    payloadBytes((*_chunks)[_nextChunk].nRefs));
+                    (*_chunks)[_next].offset,
+                    payloadBytes((*_chunks)[_next].nRefs));
+            if (c.nRefs == 0)
+                continue;
+            span.block = reinterpret_cast<const std::uint32_t *>(p);
+            span.unit = p + 4 * c.nRefs;
+            span.typeFlags = p + 5 * c.nRefs;
+            span.n = std::size_t(c.nRefs);
+            return true;
         }
         return false;
-    }
-
-    void
-    take(std::uint32_t &block, std::uint8_t &unit,
-         std::uint8_t &typeFlags) override
-    {
-        block = _block[_i];
-        unit = _unit[_i];
-        typeFlags = _typeFlags[_i];
-        ++_i;
     }
 
   private:
     std::shared_ptr<const StoredTrace> _trace;
     FileWindow _window;
     const std::vector<StoredTrace::ChunkRef> *_chunks;
-    std::size_t _nextChunk = 0;
-    const std::uint32_t *_block = nullptr;
-    const std::uint8_t *_unit = nullptr;
-    const std::uint8_t *_typeFlags = nullptr;
-    std::size_t _n = 0;
-    std::size_t _i = 0;
+    std::size_t _next = 0;
 };
 
 std::unique_ptr<PreparedSpanSource>

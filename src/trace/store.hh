@@ -277,8 +277,8 @@ class StoredTrace : public std::enable_shared_from_this<StoredTrace>
     std::unique_ptr<PreparedSpanSource> spanCursor() const;
 
     /**
-     * A fresh cursor over CPU @p cpu's timed stream (timed stores
-     * only; std::logic_error otherwise).
+     * A fresh cursor over CPU @p cpu's timed stream, one span per
+     * chunk (timed stores only; std::logic_error otherwise).
      */
     std::unique_ptr<CpuRefCursor> cpuCursor(unsigned cpu) const;
 

@@ -287,6 +287,57 @@ TEST(StoredTraceTest, TimedReplayMatchesPreparedReplay)
     EXPECT_TRUE(memRun.identicalTo(fileRun));
 }
 
+TEST(StoredTraceTest, CpuCursorSpansConcatenateToCpuStreams)
+{
+    const auto cfg = smallWorkload();
+    trace::PrepareOptions opts;
+    opts.timedStreams = true;
+    const trace::PreparedTrace prepared =
+        trace::PreparedTrace::build(gen::generateTrace(cfg), opts);
+
+    PathGuard file{scratchPath("cpu-spans")};
+    trace::StoreWriteOptions wopts;
+    wopts.chunkRefs = 1000;
+    trace::writeStored(prepared, file.path, wopts);
+    const auto stored = trace::StoredTrace::open(file.path);
+
+    ASSERT_EQ(stored->numCpus(), prepared.cpuStreams().size());
+    for (unsigned cpu = 0; cpu < stored->numCpus(); ++cpu) {
+        const trace::PreparedCpuStream &want =
+            prepared.cpuStreams()[cpu];
+        trace::PreparedCpuStreamCursor inMemory(want);
+        const auto fromFile = stored->cpuCursor(cpu);
+        for (trace::CpuRefCursor *cursor :
+             {static_cast<trace::CpuRefCursor *>(&inMemory),
+              fromFile.get()}) {
+            trace::PreparedCpuStream got;
+            trace::PreparedSpan span;
+            std::size_t nSpans = 0;
+            while (cursor->nextSpan(span)) {
+                ++nSpans;
+                ASSERT_GT(span.n, 0u);
+                got.block.insert(got.block.end(), span.block,
+                                 span.block + span.n);
+                got.unit.insert(got.unit.end(), span.unit,
+                                span.unit + span.n);
+                got.typeFlags.insert(got.typeFlags.end(),
+                                     span.typeFlags,
+                                     span.typeFlags + span.n);
+            }
+            EXPECT_FALSE(cursor->nextSpan(span)) << "cpu " << cpu;
+            EXPECT_EQ(nSpans, cursor == &inMemory
+                                  ? 1u
+                                  : (want.size() + wopts.chunkRefs - 1) /
+                                        wopts.chunkRefs)
+                << "cpu " << cpu;
+            EXPECT_TRUE(got.block == want.block) << "cpu " << cpu;
+            EXPECT_TRUE(got.unit == want.unit) << "cpu " << cpu;
+            EXPECT_TRUE(got.typeFlags == want.typeFlags)
+                << "cpu " << cpu;
+        }
+    }
+}
+
 TEST(StoredTraceTest, PreadModeMatchesMmap)
 {
     const auto cfg = smallWorkload();

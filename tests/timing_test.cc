@@ -11,11 +11,19 @@
  * deterministic, timed sweeps are bit-identical across worker counts,
  * utilization grows with CPU count, and the arbitration disciplines
  * behave per their contracts (including fixed-priority starvation).
+ * The cycle calendar that drives the event loop is held bit-identical
+ * to a binary-heap event loop kept here as an oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,6 +43,8 @@
 #include "timing/timed_bus.hh"
 #include "timing/transactions.hh"
 #include "trace/prepared.hh"
+#include "trace/store.hh"
+#include "trace/trace.hh"
 
 namespace
 {
@@ -128,40 +138,95 @@ runTimed(const timing::TimedBusConfig &cfg,
     return sim.run(source);
 }
 
-// --- Event queue -----------------------------------------------------
+// --- Event calendar --------------------------------------------------
 
-TEST(EventQueueTest, OrdersByTimeKindCpuThenSchedule)
+TEST(CycleCalendarTest, CompletionPrecedesSameCycleReadies)
 {
-    timing::EventQueue eq;
-    eq.push(5, timing::EventKind::CpuReady, 0);
-    eq.push(3, timing::EventKind::CpuReady, 1);
-    eq.push(3, timing::EventKind::CpuReady, 0);
-    eq.push(3, timing::EventKind::BusComplete, 2);
-    ASSERT_EQ(eq.size(), 4u);
-    EXPECT_EQ(eq.nextTime(), 3u);
-
-    // Completions precede CPU wake-ups at the same cycle; CpuReady
-    // ties break by cpu index, not push order.
-    timing::Event ev = eq.pop();
-    EXPECT_EQ(ev.kind, timing::EventKind::BusComplete);
-    EXPECT_EQ(ev.cpu, 2u);
-    ev = eq.pop();
-    EXPECT_EQ(ev.cpu, 0u);
-    ev = eq.pop();
-    EXPECT_EQ(ev.cpu, 1u);
-    ev = eq.pop();
-    EXPECT_EQ(ev.time, 5u);
-    EXPECT_TRUE(eq.empty());
+    timing::CycleCalendar calendar(4, 2);
+    calendar.scheduleCpu(0, 3);
+    calendar.scheduleBus(0);
+    ASSERT_TRUE(calendar.advance());
+    EXPECT_EQ(calendar.now(), 0u);
+    EXPECT_TRUE(calendar.takeBusCompletion());
+    EXPECT_FALSE(calendar.takeBusCompletion());
+    unsigned cpu = 0;
+    ASSERT_TRUE(calendar.popCpu(cpu));
+    EXPECT_EQ(cpu, 3u);
+    EXPECT_FALSE(calendar.popCpu(cpu));
+    EXPECT_FALSE(calendar.advance());
 }
 
-TEST(EventQueueTest, IdenticalKeysPopInScheduleOrder)
+TEST(CycleCalendarTest, ReadiesPopInIndexOrder)
 {
-    timing::EventQueue eq;
-    eq.push(7, timing::EventKind::CpuReady, 3);
-    eq.push(7, timing::EventKind::CpuReady, 3);
-    const timing::Event first = eq.pop();
-    const timing::Event second = eq.pop();
-    EXPECT_LT(first.seq, second.seq);
+    // Three mask words, so the walk crosses word boundaries.
+    timing::CycleCalendar calendar(150, 2);
+    for (const unsigned c : {149u, 5u, 64u, 0u, 63u, 128u})
+        calendar.scheduleCpu(2, c);
+    calendar.scheduleCpu(1, 7);
+    calendar.scheduleBus(9);
+
+    std::vector<std::pair<std::uint64_t, unsigned>> order;
+    while (calendar.advance()) {
+        if (calendar.takeBusCompletion())
+            order.emplace_back(calendar.now(), ~0u);
+        unsigned cpu;
+        while (calendar.popCpu(cpu))
+            order.emplace_back(calendar.now(), cpu);
+    }
+    const std::vector<std::pair<std::uint64_t, unsigned>> expected = {
+        {1, 7},  {2, 0},   {2, 5},   {2, 63},
+        {2, 64}, {2, 128}, {2, 149}, {9, ~0u}};
+    EXPECT_EQ(order, expected);
+}
+
+TEST(CycleCalendarTest, ReArmAtCurrentCycleDeliveredSameCycle)
+{
+    timing::CycleCalendar calendar(8, 3);
+    calendar.scheduleCpu(0, 2);
+    calendar.scheduleCpu(0, 5);
+    ASSERT_TRUE(calendar.advance());
+
+    // CPU 2 re-arms itself at the current cycle twice, then three
+    // cycles ahead; it keeps its index place ahead of CPU 5.
+    std::vector<unsigned> delivered;
+    unsigned cpu;
+    unsigned rearms = 0;
+    while (calendar.popCpu(cpu)) {
+        delivered.push_back(cpu);
+        if (cpu == 2)
+            calendar.scheduleCpu(rearms++ < 2 ? 0 : 3, 2);
+    }
+    EXPECT_EQ(delivered, (std::vector<unsigned>{2, 2, 2, 5}));
+
+    ASSERT_TRUE(calendar.advance());
+    EXPECT_EQ(calendar.now(), 3u);
+    ASSERT_TRUE(calendar.popCpu(cpu));
+    EXPECT_EQ(cpu, 2u);
+    EXPECT_FALSE(calendar.advance());
+}
+
+TEST(CycleCalendarTest, ClockSkipsIdleCyclesToTheBusCompletion)
+{
+    timing::CycleCalendar calendar(2, 2);
+    calendar.scheduleBus(1000);
+    ASSERT_TRUE(calendar.advance());
+    EXPECT_EQ(calendar.now(), 1000u);
+    EXPECT_TRUE(calendar.takeBusCompletion());
+
+    // A wake-up inside the horizon beats a later completion, and ring
+    // slots are reused across the wrap.
+    calendar.scheduleCpu(1002, 1);
+    calendar.scheduleBus(1003);
+    ASSERT_TRUE(calendar.advance());
+    EXPECT_EQ(calendar.now(), 1002u);
+    EXPECT_FALSE(calendar.takeBusCompletion());
+    unsigned cpu;
+    ASSERT_TRUE(calendar.popCpu(cpu));
+    EXPECT_EQ(cpu, 1u);
+    ASSERT_TRUE(calendar.advance());
+    EXPECT_EQ(calendar.now(), 1003u);
+    EXPECT_TRUE(calendar.takeBusCompletion());
+    EXPECT_FALSE(calendar.popCpu(cpu));
 }
 
 // --- Arbiters --------------------------------------------------------
@@ -605,6 +670,287 @@ TEST(ContentionTest, PreparedRunRejectsMismatchedDecode)
     wrongCfg.sim.blockBytes = 64;
     const auto wrongBlock = prepareTimed(workload, wrongCfg);
     EXPECT_THROW(sim.run(*wrongBlock), std::invalid_argument);
+}
+
+// --- Differential oracle: the binary-heap event loop -----------------
+
+/**
+ * The event order the calendar replaced, kept here as an oracle: a
+ * binary min-heap over (time, kind, cpu, schedule order), driven by
+ * the original event loop.  Every TimedRun of TimedBusSim must match
+ * it bit for bit.
+ */
+class HeapEventQueue
+{
+  public:
+    enum class Kind : std::uint8_t { BusComplete = 0, CpuReady = 1 };
+
+    struct Event
+    {
+        std::uint64_t time;
+        Kind kind;
+        unsigned cpu;
+        std::uint64_t seq;
+    };
+
+    void
+    push(std::uint64_t time, Kind kind, unsigned cpu)
+    {
+        _heap.push_back(Event{time, kind, cpu, _nextSeq++});
+        std::push_heap(_heap.begin(), _heap.end(), after);
+    }
+
+    Event
+    pop()
+    {
+        std::pop_heap(_heap.begin(), _heap.end(), after);
+        const Event front = _heap.back();
+        _heap.pop_back();
+        return front;
+    }
+
+    std::uint64_t nextTime() const { return _heap.front().time; }
+    bool empty() const { return _heap.empty(); }
+
+  private:
+    static bool
+    after(const Event &a, const Event &b)
+    {
+        return std::tie(b.time, b.kind, b.cpu, b.seq) <
+               std::tie(a.time, a.kind, a.cpu, a.seq);
+    }
+
+    std::vector<Event> _heap;
+    std::uint64_t _nextSeq = 0;
+};
+
+timing::TimedRun
+heapOracleRun(const timing::TimedBusConfig &cfg,
+              coherence::CoherenceEngine &engine,
+              const trace::PreparedTrace &prepared)
+{
+    using Kind = HeapEventQueue::Kind;
+    timing::TransactionModel model(cfg.scheme, cfg.bus.costs,
+                                   cfg.costOpts);
+    engine.reset();
+
+    std::vector<trace::PreparedCpuStreamCursor> cursors;
+    for (const trace::PreparedCpuStream &stream : prepared.cpuStreams())
+        cursors.emplace_back(stream);
+    std::vector<timing::RequestPort> ports;
+    for (unsigned cpu = 0; cpu < cursors.size(); ++cpu)
+        ports.emplace_back(cpu, &cursors[cpu]);
+    const unsigned nCpus = static_cast<unsigned>(ports.size());
+
+    timing::TimedRun result;
+    result.scheme = sim::schemeName(cfg.scheme, cfg.costOpts.nPointers);
+    result.bus = cfg.bus.costs.name;
+    result.discipline = timing::disciplineName(cfg.discipline);
+    result.nCpus = nCpus;
+    const auto arbiter = timing::BusArbiter::make(cfg.discipline, nCpus);
+
+    HeapEventQueue eq;
+    std::vector<timing::BusRequest> waiters;
+    bool busBusy = false;
+    bool busUsesMemory = false;
+    std::uint64_t reqSeq = 0;
+    const auto issue = [&](timing::RequestPort &port,
+                           std::uint64_t now) {
+        const timing::TxnCharge &txn = port.nextTxn();
+        waiters.push_back(timing::BusRequest{
+            port.cpu(), now, reqSeq++, txn.busCycles, txn.usesMemory});
+    };
+
+    for (unsigned p = 0; p < nCpus; ++p)
+        eq.push(0, Kind::CpuReady, p);
+    while (!eq.empty()) {
+        const std::uint64_t now = eq.nextTime();
+        while (!eq.empty() && eq.nextTime() == now) {
+            const HeapEventQueue::Event ev = eq.pop();
+            timing::RequestPort &port = ports[ev.cpu];
+            if (ev.kind == Kind::BusComplete) {
+                busBusy = false;
+                const std::uint64_t done =
+                    now + (busUsesMemory ? cfg.bus.memExtraLatency : 0);
+                if (!port.hasPendingTxn())
+                    port.endStall(done);
+                eq.push(done, Kind::CpuReady, ev.cpu);
+                continue;
+            }
+            if (port.hasPendingTxn()) {
+                issue(port, now);
+                continue;
+            }
+            if (!port.hasMoreRefs()) {
+                port.finish(now);
+                continue;
+            }
+            const timing::PortRef ref = port.takeRef();
+            engine.access(ref.unit, ref.type, ref.block);
+            const timing::RefCharge charge =
+                model.charge(engine.results());
+            if (charge.empty()) {
+                eq.push(now + cfg.cyclesPerRef, Kind::CpuReady, ev.cpu);
+                continue;
+            }
+            port.beginStall(charge, now);
+            issue(port, now);
+        }
+        if (!busBusy && !waiters.empty()) {
+            const std::size_t pick = arbiter->pick(waiters);
+            const timing::BusRequest req = waiters[pick];
+            waiters.erase(waiters.begin() +
+                          static_cast<std::ptrdiff_t>(pick));
+            arbiter->granted(req.cpu);
+            result.queueDelay.sample(
+                static_cast<std::size_t>(now - req.arrival));
+            ++result.transactions;
+            result.busBusyCycles += req.busCycles;
+            busBusy = true;
+            busUsesMemory = req.usesMemory;
+            eq.push(now + req.busCycles, Kind::BusComplete, req.cpu);
+        }
+    }
+
+    for (const timing::RequestPort &port : ports) {
+        result.refs += port.stats().refs;
+        result.makespan =
+            std::max(result.makespan, port.stats().finishCycle);
+        result.cpus.push_back(port.stats());
+    }
+    result.engine = engine.results();
+    return result;
+}
+
+/**
+ * Holds TimedBusSim to the heap oracle over @p trace: every
+ * discipline, both buses (memory wait off-bus and in the occupancy),
+ * cyclesPerRef 0 (same-cycle re-arms), 1 and 3, each scheme, and the
+ * stream both prepared in memory and stored in 1500-reference chunks.
+ */
+void
+expectCalendarMatchesHeapOracle(const trace::MemoryTrace &trace,
+                                unsigned nUnits,
+                                const std::string &storeStem)
+{
+    trace::PrepareOptions prep;
+    prep.timedStreams = true;
+    const trace::PreparedTrace prepared =
+        trace::PreparedTrace::build(trace, prep);
+
+    struct PathGuard
+    {
+        std::string path;
+        ~PathGuard() { std::remove(path.c_str()); }
+    } file{testing::TempDir() + "dirsim-timing-" + storeStem + ".dspt"};
+    trace::StoreWriteOptions wopts;
+    wopts.chunkRefs = 1500;
+    trace::writeStored(prepared, file.path, wopts);
+    const auto stored = trace::StoredTrace::open(file.path);
+
+    for (const sim::Scheme scheme :
+         {sim::Scheme::Dir0B, sim::Scheme::WTI, sim::Scheme::Dragon}) {
+        for (const auto &bus : {timing::timedPipelinedBus(),
+                                timing::timedNonPipelinedBus()}) {
+            for (const auto d : {timing::Discipline::FCFS,
+                                 timing::Discipline::RoundRobin,
+                                 timing::Discipline::FixedPriority}) {
+                for (const unsigned cyclesPerRef : {0u, 1u, 3u}) {
+                    timing::TimedBusConfig cfg =
+                        timedConfig(scheme, bus, d);
+                    cfg.cyclesPerRef = cyclesPerRef;
+                    const std::string label =
+                        sim::schemeName(scheme, 2) + " / " +
+                        bus.costs.name + " / " +
+                        timing::disciplineName(d) + " / cpr " +
+                        std::to_string(cyclesPerRef);
+
+                    const auto oracleEngine = engineFor(scheme, nUnits, 2);
+                    const timing::TimedRun oracle =
+                        heapOracleRun(cfg, *oracleEngine, prepared);
+                    ASSERT_EQ(oracle.nCpus, prepared.numCpus()) << label;
+
+                    timing::TimedBusSim sim(
+                        cfg, engineFor(scheme, nUnits, 2));
+                    EXPECT_TRUE(sim.run(prepared).identicalTo(oracle))
+                        << label << " / prepared";
+                    EXPECT_TRUE(sim.run(*stored).identicalTo(oracle))
+                        << label << " / stored";
+                }
+            }
+        }
+    }
+}
+
+TEST(HeapOracleTest, OneCpu)
+{
+    auto workload = oneCpuWorkloads()[0];
+    workload.totalRefs = 12'000;
+    expectCalendarMatchesHeapOracle(gen::generateTrace(workload),
+                                    workload.space.nProcesses, "one");
+}
+
+TEST(HeapOracleTest, FourCpus)
+{
+    auto workload = fourCpuWorkload();
+    workload.totalRefs = 12'000;
+    expectCalendarMatchesHeapOracle(gen::generateTrace(workload),
+                                    workload.space.nProcesses, "four");
+}
+
+TEST(HeapOracleTest, ThirtyTwoCpus)
+{
+    const auto workload = gen::scaledConfig(32, 32 * 600);
+    expectCalendarMatchesHeapOracle(gen::generateTrace(workload),
+                                    workload.space.nProcesses, "n32");
+}
+
+/**
+ * 72 CPUs (two mask words per cycle): an eight-process trace whose
+ * processes hop across nine CPUs each.  Units stay per process, so
+ * the engines' 64-unit limit is not in play.
+ */
+TEST(HeapOracleTest, SeventyTwoCpus)
+{
+    const auto workload = gen::scaledConfig(8, 8 * 2'000);
+    const trace::MemoryTrace source = gen::generateTrace(workload);
+    trace::TraceMeta meta = source.meta();
+    meta.nCpus = 72;
+    trace::MemoryTrace wide(meta);
+    std::unordered_map<unsigned, unsigned> process;
+    for (std::size_t i = 0; i < source.size(); ++i) {
+        trace::TraceRecord rec = source[i];
+        const unsigned p =
+            process.try_emplace(rec.pid, unsigned(process.size()))
+                .first->second;
+        rec.cpu = static_cast<std::uint8_t>(p * 9 + (i / 97) % 9);
+        wide.append(rec);
+    }
+    ASSERT_EQ(process.size(), 8u);
+    expectCalendarMatchesHeapOracle(wide, workload.space.nProcesses,
+                                    "n72");
+}
+
+// --- Configuration bounds --------------------------------------------
+
+TEST(ContentionTest, RejectsWakeHorizonBeyondCalendarBound)
+{
+    const auto build = [](const timing::TimedBusConfig &cfg) {
+        timing::TimedBusSim sim(cfg,
+                                engineFor(sim::Scheme::Dir0B, 4, 2));
+    };
+    auto cfg =
+        timedConfig(sim::Scheme::Dir0B, timing::timedPipelinedBus());
+    cfg.cyclesPerRef = 65'536;
+    EXPECT_NO_THROW(build(cfg));
+    cfg.cyclesPerRef = 65'537;
+    EXPECT_THROW(build(cfg), std::invalid_argument);
+    cfg.cyclesPerRef = 4'000'000'000u;
+    EXPECT_THROW(build(cfg), std::invalid_argument);
+
+    cfg.cyclesPerRef = 1;
+    cfg.bus.memExtraLatency = 65'537;
+    EXPECT_THROW(build(cfg), std::invalid_argument);
 }
 
 } // namespace
