@@ -10,7 +10,7 @@
  *
  * Benches that run simulation sweeps take a `--jobs N` knob (parsed
  * and stripped by parseJobs() before google-benchmark sees argv):
- * the protocol×workload matrix runs on a sim::SweepRunner with N
+ * the protocol×workload matrix (analysis::evaluateMatrix) runs on N
  * worker threads (default 1), N = 0 uses one thread per hardware
  * thread.  Parallel results are bit-identical to serial ones;
  * sweepTimingReport()

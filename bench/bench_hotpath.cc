@@ -67,6 +67,7 @@
  *   --stream-chunk-refs N     refs per streamed chunk (bounds replay
  *                  RSS; default 1048576)
  *   --repo-stats   print the trace-repository counters after the run
+ *   -h, --help     print the usage line on stdout and exit 0
  */
 
 #include <sys/resource.h>
@@ -145,11 +146,24 @@ struct PointResult
     std::uint64_t blocksTracked = 0;
 };
 
+const char *const kUsage =
+    "Usage: bench_hotpath [--refs N] [--reps N] [--out PATH] "
+    "[--floor R] [--sweep] [--schemes CSV] [--no-reserve] "
+    "[--multi-floor R] [--no-direct-gen] [--gen-chunk-refs N] "
+    "[--cold-floor R] [--trace-cache-dir PATH] "
+    "[--trace-cache-budget MiB] [--stream-chunk-refs N] "
+    "[--repo-stats] [-h|--help]\n";
+
 Options
 parseOptions(int argc, char **argv)
 {
     Options opts;
     for (int a = 1; a < argc; ++a) {
+        if (std::strcmp(argv[a], "--help") == 0 ||
+            std::strcmp(argv[a], "-h") == 0) {
+            std::cout << kUsage;
+            std::exit(0);
+        }
         const auto want = [&](const char *flag) -> const char * {
             if (a + 1 >= argc) {
                 std::cerr << "error: " << flag
@@ -205,14 +219,7 @@ parseOptions(int argc, char **argv)
                 want("--schemes"), "--schemes", kSweepSchemes);
         } else {
             std::cerr << "error: unknown flag '" << argv[a] << "'\n"
-                      << "usage: bench_hotpath [--refs N] [--reps N] "
-                         "[--out PATH] [--floor R] [--sweep] "
-                         "[--schemes CSV] [--no-reserve] "
-                         "[--multi-floor R] [--no-direct-gen] "
-                         "[--gen-chunk-refs N] [--cold-floor R] "
-                         "[--trace-cache-dir PATH] "
-                         "[--trace-cache-budget MiB] "
-                         "[--stream-chunk-refs N] [--repo-stats]\n";
+                      << kUsage;
             std::exit(2);
         }
     }

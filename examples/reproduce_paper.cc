@@ -40,9 +40,9 @@ const char *const kUsage =
     "  outdir   defaults to ./results\n"
     "  --full   full-size (~3.2M reference) traces\n"
     "  --jobs N worker threads for the simulation sweeps (0 = one\n"
-    "           per hardware thread; default 1); every scheme of a\n"
-    "           trace replays in one fused pass at any job count, and\n"
-    "           the exhibits are bit-identical at any job count\n"
+    "           per hardware thread; default 1); each trace's schemes\n"
+    "           replay as soon as the trace is built, and the exhibits\n"
+    "           are bit-identical at any job count\n"
     "  --trace-cache-dir PATH    persist prepared traces as out-of-core\n"
     "           store files under PATH and replay them streamed; a\n"
     "           second run (even in another process) reuses the files\n"

@@ -4,13 +4,17 @@
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
+#include "coherence/multi_limited_engine.hh"
 #include "gen/workload.hh"
 #include "sim/sweep.hh"
 #include "sim/thread_pool.hh"
 #include "sim/trace_repo.hh"
 #include "trace/prepared.hh"
+#include "trace/store.hh"
 
 #include <algorithm>
+#include <exception>
+#include <numeric>
 
 namespace dirsim::analysis
 {
@@ -93,6 +97,101 @@ prepareOptionsFor(const EvalOptions &opts)
     return prep;
 }
 
+/** One workload's replay input: the in-memory columns, or a store
+ *  each task reads through its own windowed cursor. */
+struct WorkloadStream
+{
+    std::shared_ptr<const trace::PreparedTrace> prepared;
+    std::shared_ptr<const trace::StoredTrace> stored;
+};
+
+/**
+ * One workload's replay tasks, as groups of spec columns.  An
+ * in-memory trace runs each column as its own task, except that the
+ * DiriNB columns the collapse rule accepts share one task (one
+ * MultiLimitedEngine probe serves every lane).  A streamed trace runs
+ * every column in one fused task, so each store window is read once.
+ */
+struct WorkloadPlan
+{
+    std::vector<std::vector<std::size_t>> groups;
+    /** The limitedPointers columns run as MultiLimitedEngine lanes. */
+    bool collapse = false;
+};
+
+WorkloadPlan
+planWorkload(const std::vector<EngineSpec> &specs, unsigned units,
+             bool streamed)
+{
+    std::vector<sim::CollapseHint> hints;
+    for (const EngineSpec &spec : specs)
+        hints.push_back({spec.limitedPointers, units});
+    WorkloadPlan plan;
+    plan.collapse = sim::planCollapse(hints).collapse;
+    if (streamed) {
+        plan.groups.emplace_back(specs.size());
+        std::iota(plan.groups[0].begin(), plan.groups[0].end(), 0);
+        return plan;
+    }
+    std::size_t laneGroup = specs.size();
+    for (std::size_t f = 0; f < specs.size(); ++f) {
+        if (!plan.collapse || specs[f].limitedPointers == 0) {
+            plan.groups.push_back({f});
+        } else if (laneGroup == specs.size()) {
+            laneGroup = plan.groups.size();
+            plan.groups.push_back({f});
+        } else {
+            plan.groups[laneGroup].push_back(f);
+        }
+    }
+    return plan;
+}
+
+/**
+ * Replay the spec columns @p cols of one workload in one Simulator
+ * over @p stream, writing each column's results into @p row.  With
+ * @p collapse, the columns carrying a limitedPointers hint run as the
+ * lanes of one shared MultiLimitedEngine.
+ */
+void
+replayColumns(const sim::SimConfig &sc, const WorkloadStream &stream,
+              const std::vector<EngineSpec> &specs,
+              const std::vector<std::size_t> &cols, unsigned units,
+              bool collapse, std::vector<coherence::EngineResults> &row)
+{
+    std::vector<unsigned> lanePointers;
+    if (collapse) {
+        for (const std::size_t f : cols)
+            if (specs[f].limitedPointers != 0)
+                lanePointers.push_back(specs[f].limitedPointers);
+    }
+    sim::Simulator simulator(sc);
+    const coherence::MultiLimitedEngine *multi = nullptr;
+    if (!lanePointers.empty()) {
+        auto engine = std::make_unique<coherence::MultiLimitedEngine>(
+            units, lanePointers);
+        multi = engine.get();
+        simulator.addEngine(std::move(engine));
+    }
+    for (const std::size_t f : cols)
+        if (!multi || specs[f].limitedPointers == 0)
+            simulator.addEngine(specs[f].make(units));
+
+    if (stream.stored)
+        simulator.run(*stream.stored->spanCursor());
+    else
+        simulator.run(*stream.prepared);
+
+    std::size_t lane = 0;
+    std::size_t slot = multi ? 1 : 0;
+    for (const std::size_t f : cols) {
+        if (multi && specs[f].limitedPointers != 0)
+            row[f] = multi->laneResults(lane++);
+        else
+            row[f] = simulator.engine(slot++).results();
+    }
+}
+
 } // namespace
 
 std::vector<std::vector<coherence::EngineResults>>
@@ -101,71 +200,85 @@ evaluateMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
                const EvalOptions &opts)
 {
     std::vector<std::vector<coherence::EngineResults>> results(
-        cfgs.size());
+        cfgs.size(), std::vector<coherence::EngineResults>(specs.size()));
     if (cfgs.empty() || specs.empty())
         return results;
-    const unsigned jobs = sim::ThreadPool::resolveThreads(opts.jobs);
 
-    // Phase 1: one stream per workload, as the template its cells'
-    // points copy.  The traces are immutable and shared read-only by
-    // every job; a streamed cell builds its own windowed cursor over
-    // the shared store, so concurrent cells each keep one chunk
-    // resident.
+    // Plan on the caller's thread, so a bad hint throws here rather
+    // than inside the pool.
+    std::vector<WorkloadPlan> plans;
+    std::size_t maxTasks = 0;
+    for (const gen::WorkloadConfig &cfg : cfgs) {
+        plans.push_back(planWorkload(specs, unitsFor(cfg, opts),
+                                     opts.streamReplay));
+        maxTasks += plans.back().groups.size();
+    }
+    // The longest trace generates first: it heads the critical path.
+    std::vector<std::size_t> order(cfgs.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cfgs[a].totalRefs > cfgs[b].totalRefs;
+                     });
+
+    // Each cell's result and error slot is written by exactly one
+    // task, so tasks share no mutable state; pool.wait() orders every
+    // write before the harvest below.
     const trace::PrepareOptions prep = prepareOptionsFor(opts);
-    std::vector<std::function<sim::SweepPoint()>> fetches;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        fetches.push_back([&, c] {
-            sim::TraceRepository &repo = sim::TraceRepository::global();
-            sim::SweepPoint point;
-            point.name = cfgs[c].name;
-            point.sim = simConfigFor(cfgs[c], opts);
-            // Unique per index: workload names can repeat.
-            point.fuseKey = "workload#" + std::to_string(c);
-            if (opts.streamReplay)
-                point.spans = [stored = repo.getStored(cfgs[c], prep)] {
-                    return stored->spanCursor();
-                };
-            else
-                point.prepared = repo.get(cfgs[c], prep);
-            return point;
-        });
-    }
-    const std::vector<sim::SweepPoint> streams =
-        sim::runOrdered<sim::SweepPoint>(workersFor(jobs, cfgs.size()),
-                                         fetches);
-
-    // Phase 2: one sweep point per (workload, engine) cell.
-    sim::SweepRunner runner(jobs);
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        const unsigned units = unitsFor(cfgs[c], opts);
-        for (const EngineSpec &spec : specs) {
-            sim::SweepPoint point = streams[c];
-            point.multiPointers = spec.limitedPointers;
-            point.multiUnits = units;
-            point.engines = [&factory = spec.make, units] {
-                std::vector<
-                    std::unique_ptr<coherence::CoherenceEngine>>
-                    engines;
-                engines.push_back(factory(units));
-                return engines;
-            };
-            runner.add(std::move(point));
+    std::vector<std::exception_ptr> errors(cfgs.size() * specs.size());
+    const auto fail = [&](std::size_t c,
+                          const std::vector<std::size_t> &cols) {
+        for (const std::size_t f : cols)
+            errors[c * specs.size() + f] = std::current_exception();
+    };
+    {
+        sim::ThreadPool pool(workersFor(opts.jobs, maxTasks));
+        for (const std::size_t c : order) {
+            // Fetch the trace, then queue its replays at once: no
+            // workload waits for another's trace.
+            pool.submit([&, c] {
+                const WorkloadPlan &plan = plans[c];
+                std::size_t submitted = 0;
+                try {
+                    sim::TraceRepository &repo =
+                        sim::TraceRepository::global();
+                    WorkloadStream stream;
+                    if (opts.streamReplay)
+                        stream.stored = repo.getStored(cfgs[c], prep);
+                    else
+                        stream.prepared = repo.get(cfgs[c], prep);
+                    const sim::SimConfig sc = simConfigFor(cfgs[c], opts);
+                    const unsigned units = unitsFor(cfgs[c], opts);
+                    for (; submitted < plan.groups.size(); ++submitted) {
+                        const std::vector<std::size_t> *cols =
+                            &plan.groups[submitted];
+                        pool.submit([&, c, sc, units, stream, cols] {
+                            try {
+                                replayColumns(sc, stream, specs, *cols,
+                                              units, plans[c].collapse,
+                                              results[c]);
+                            } catch (...) {
+                                fail(c, *cols);
+                            }
+                        });
+                    }
+                } catch (...) {
+                    for (std::size_t g = submitted;
+                         g < plan.groups.size(); ++g)
+                        fail(c, plan.groups[g]);
+                }
+            });
         }
+        pool.wait();
     }
-    std::vector<sim::SweepPointResult> points = runner.run();
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        for (std::size_t f = 0; f < specs.size(); ++f) {
-            results[c].push_back(std::move(
-                points[c * specs.size() + f].engines.front()));
-        }
+    // The earliest (workload, spec) failure wins, at any job count.
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
     return results;
 }
 
-namespace
-{
-
-/** Each matrix column merged across the workloads. */
 std::vector<coherence::EngineResults>
 mergeColumns(
     const std::vector<std::vector<coherence::EngineResults>> &matrix,
@@ -180,6 +293,9 @@ mergeColumns(
     }
     return merged;
 }
+
+namespace
+{
 
 /** Run one engine per workload, merged across the workloads. */
 coherence::EngineResults
@@ -284,12 +400,33 @@ limitedSweep(const std::vector<gen::WorkloadConfig> &cfgs,
                         pointerCounts.size());
 }
 
+EngineSpec
+invalDirectorySpec(const directory::DirEntryFactory &factory,
+                   const directory::DirCacheConfig &dirCache)
+{
+    return {invalFactory(&factory, dirCache)};
+}
+
+EngineSpec
+invalFiniteCacheSpec(const mem::CacheGeometry &geometry)
+{
+    return {[geometry](unsigned units) {
+        coherence::InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        cfg.cacheFactory = [geometry] {
+            return std::make_unique<mem::SetAssocTagStore>(geometry);
+        };
+        return std::make_unique<coherence::InvalEngine>(cfg);
+    }};
+}
+
 coherence::EngineResults
 invalWithDirectory(const std::vector<gen::WorkloadConfig> &cfgs,
                    const directory::DirEntryFactory &factory,
                    const EvalOptions &opts)
 {
-    return runMerged(cfgs, opts, {invalFactory(&factory, opts.dirCache)});
+    return runMerged(cfgs, opts,
+                     invalDirectorySpec(factory, opts.dirCache));
 }
 
 coherence::EngineResults
@@ -307,16 +444,7 @@ invalWithFiniteCaches(const std::vector<gen::WorkloadConfig> &cfgs,
                       const mem::CacheGeometry &geometry,
                       const EvalOptions &opts)
 {
-    return runMerged(cfgs, opts, {[&geometry](unsigned units) {
-                         coherence::InvalEngineConfig cfg;
-                         cfg.nUnits = units;
-                         cfg.cacheFactory = [&geometry]() {
-                             return std::make_unique<
-                                 mem::SetAssocTagStore>(geometry);
-                         };
-                         return std::make_unique<
-                             coherence::InvalEngine>(cfg);
-                     }});
+    return runMerged(cfgs, opts, invalFiniteCacheSpec(geometry));
 }
 
 coherence::EngineResults

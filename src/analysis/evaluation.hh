@@ -93,12 +93,10 @@ struct EvalOptions
      * Worker threads for the run; 0 means one per hardware thread.
      * Every evaluation takes the same path at any job count: each
      * workload's trace comes from sim::TraceRepository::global()
-     * (decoded once, shared read-only), and the workload×engine
-     * matrix runs on one sim::SweepRunner as one fused column pass
-     * per workload, the DiriNB cells collapsed into a shared
-     * coherence::MultiLimitedEngine unless a finite directory cache
-     * is configured.  Results are bit-identical at any job count
-     * (the test suite enforces this).
+     * (decoded once, shared read-only), and evaluateMatrix() replays
+     * the workload×engine matrix as one dependency-driven plan on one
+     * pool.  Results are bit-identical at any job count (the test
+     * suite enforces this).
      *
      * Initialised from defaultEvalJobs() (1 unless a driver raised
      * it).
@@ -132,10 +130,10 @@ using EngineFactory =
  * One engine column of an evaluation matrix: the factory that builds
  * its engine, plus the multi-configuration collapse hint.  A nonzero
  * limitedPointers marks the column as a plain DiriNB run (no
- * directory cache) with that pointer count, which the sweep runner
+ * directory cache) with that pointer count, which evaluateMatrix()
  * may run as one lane of a shared coherence::MultiLimitedEngine (see
- * sim::SweepPoint::multiPointers).  The factory is the fallback when
- * a workload carries fewer than two such columns.
+ * sim::planCollapse()).  The factory is the fallback when a workload
+ * carries fewer than two such columns.
  */
 struct EngineSpec
 {
@@ -148,20 +146,31 @@ struct EngineSpec
  * @p cfgs as ONE plan, and harvest each cell's results.
  *
  * Every evaluation in the process goes through here, at any job
- * count.  Phase one fetches each workload's trace from
- * sim::TraceRepository::global() — the in-memory PreparedTrace, or
- * with opts.streamReplay the out-of-core StoredTrace — one task per
- * workload on opts.jobs workers.  Phase two submits one sweep point
- * per (workload, engine) cell to a single sim::SweepRunner.  A
- * workload's cells share one fusion key, so each workload is one
- * fused column pass over all of its engines, and its DiriNB columns
- * (EngineSpec::limitedPointers) collapse into one shared
- * MultiLimitedEngine.  The workloads of one call therefore generate
- * and replay concurrently: a study that sweeps a parameter over many
- * workloads should build every config first and make one call.
- * Results come back in submission order, so any job count is
- * bit-identical to jobs = 1.  A factory is called on worker threads
- * and must be safe to call concurrently.
+ * count.  The plan is dependency-driven, on one pool of opts.jobs
+ * workers:
+ *
+ *  - One fetch task per workload takes its trace from
+ *    sim::TraceRepository::global() — the in-memory PreparedTrace,
+ *    or with opts.streamReplay the out-of-core StoredTrace.  Fetches
+ *    are queued longest trace first (totalRefs descending, ties in
+ *    @p cfgs order), since the longest generate heads the critical
+ *    path.
+ *  - As soon as a fetch returns, it queues that workload's replays;
+ *    no workload waits for another's trace.  An in-memory trace
+ *    replays each column as its own task (one Simulator, one
+ *    engine), except that its DiriNB columns (EngineSpec::
+ *    limitedPointers) collapse into one shared MultiLimitedEngine
+ *    task under sim::planCollapse().  A streamed trace replays all of
+ *    its columns as one fused task over one cursor, so each store
+ *    window is read once.
+ *
+ * A study that sweeps a parameter over many workloads should build
+ * every config first and make one call.  Each cell's results land in
+ * its own slot, so any job count is bit-identical to jobs = 1.  A
+ * failing fetch or replay marks its cells; once the pool drains, the
+ * earliest failing (workload, spec) cell's exception is rethrown.  A
+ * factory is called on worker threads and must be safe to call
+ * concurrently.
  *
  * @return results[workload][spec].
  */
@@ -169,6 +178,27 @@ std::vector<std::vector<coherence::EngineResults>>
 evaluateMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
                const std::vector<EngineSpec> &specs,
                const EvalOptions &opts = EvalOptions{});
+
+/** Each of the first @p columns matrix columns merged across the
+ *  workloads (the rows of @p matrix). */
+std::vector<coherence::EngineResults>
+mergeColumns(
+    const std::vector<std::vector<coherence::EngineResults>> &matrix,
+    std::size_t columns);
+
+/**
+ * An invalidation-engine column shadowing the directory organisation
+ * @p factory builds (see invalWithDirectory()).  The factory is held
+ * by reference and must outlive the evaluation.
+ */
+EngineSpec invalDirectorySpec(const directory::DirEntryFactory &factory,
+                              const directory::DirCacheConfig &dirCache =
+                                  {});
+
+/** An invalidation-engine column with finite caches of @p geometry
+ *  (held by value, so specs for several geometries can share one
+ *  evaluateMatrix() call). */
+EngineSpec invalFiniteCacheSpec(const mem::CacheGeometry &geometry);
 
 /** Run the three standard engines over each workload. */
 Evaluation evaluateWorkloads(const std::vector<gen::WorkloadConfig> &cfgs,

@@ -131,18 +131,21 @@ finiteCacheStudy(const std::vector<std::uint64_t> &capacities,
         return pt;
     };
 
-    // Infinite baseline first.
-    const Evaluation base = evaluateWorkloads(workloads);
-    points.push_back(analyse(base.average.inval, 0));
-
+    // One plan: the infinite baseline column, then one column per
+    // capacity.
+    std::vector<EngineSpec> specs = {invalSpec()};
     for (std::uint64_t capacity : capacities) {
         mem::CacheGeometry geom;
         geom.capacityBytes = capacity;
         geom.blockBytes = 16;
         geom.ways = 4;
-        points.push_back(analyse(
-            invalWithFiniteCaches(workloads, geom), capacity));
+        specs.push_back(invalFiniteCacheSpec(geom));
     }
+    const std::vector<coherence::EngineResults> merged = mergeColumns(
+        evaluateMatrix(workloads, specs), specs.size());
+    points.push_back(analyse(merged[0], 0));
+    for (std::size_t k = 0; k < capacities.size(); ++k)
+        points.push_back(analyse(merged[k + 1], capacities[k]));
     return points;
 }
 
@@ -326,7 +329,7 @@ std::vector<HomeLocalityPoint>
 homeLocalityStudy(const std::vector<unsigned> &cpuCounts,
                   std::uint64_t refsPerCpu)
 {
-    // Both placements replay side by side in one fused pass per trace.
+    // Both placements are columns of one plan over the same traces.
     const auto matrix =
         evaluateMatrix(scaledConfigs(cpuCounts, refsPerCpu),
                        {invalSpec(coherence::HomePolicy::Modulo),
@@ -410,10 +413,17 @@ directoryMessageStudy(bool fullSize)
         {"Coarse vector",
          std::make_unique<directory::CoarseVectorFactory>()});
 
+    // One plan: a shadowed invalidation column per organisation.
+    std::vector<EngineSpec> specs;
+    for (const Named &org : organizations)
+        specs.push_back(invalDirectorySpec(*org.factory));
+    const std::vector<coherence::EngineResults> merged = mergeColumns(
+        evaluateMatrix(workloads, specs), specs.size());
+
     std::vector<DirectoryMessageStats> rows;
-    for (const Named &org : organizations) {
-        const coherence::EngineResults r =
-            invalWithDirectory(workloads, *org.factory);
+    for (std::size_t k = 0; k < organizations.size(); ++k) {
+        const Named &org = organizations[k];
+        const coherence::EngineResults &r = merged[k];
         const double events = static_cast<double>(
             r.whClnFanout.totalSamples() + r.wmClnFanout.totalSamples() +
             r.events.count(coherence::Event::WmBlkDrty));

@@ -16,44 +16,40 @@ namespace
 
 constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
 
-/** A fusion group's multi-configuration collapse plan. */
-struct CollapsePlan
-{
-    /** Pointer counts of the collapsible cells, submission order. */
-    std::vector<unsigned> lanePointers;
-    unsigned units = 0;
-    bool collapse = false;
-};
-
-/**
- * Decide whether the group [begin, end) collapses its DiriNB cells
- * into one MultiLimitedEngine: at least two cells carry a
- * multiPointers hint and all of them agree on the unit count.
- */
+/** The collapse plan of the fusion group [begin, end). */
 CollapsePlan
-planCollapse(const std::vector<SweepPoint> &points, std::size_t begin,
-             std::size_t end)
+planGroup(const std::vector<SweepPoint> &points, std::size_t begin,
+          std::size_t end)
+{
+    std::vector<CollapseHint> cells;
+    for (std::size_t i = begin; i < end; ++i)
+        cells.push_back({points[i].multiPointers, points[i].multiUnits});
+    return planCollapse(cells);
+}
+
+} // namespace
+
+CollapsePlan
+planCollapse(const std::vector<CollapseHint> &cells)
 {
     CollapsePlan plan;
     bool unitsAgree = true;
-    for (std::size_t i = begin; i < end; ++i) {
-        const SweepPoint &point = points[i];
-        if (point.multiPointers == 0)
+    for (const CollapseHint &cell : cells) {
+        if (cell.pointers == 0)
             continue;
-        if (point.multiUnits == 0)
+        if (cell.units == 0)
             throw std::invalid_argument(
-                "SweepRunner: multiPointers needs multiUnits");
+                "planCollapse: a pointer hint (multiPointers) needs "
+                "a unit count (multiUnits)");
         if (plan.lanePointers.empty())
-            plan.units = point.multiUnits;
-        else if (point.multiUnits != plan.units)
+            plan.units = cell.units;
+        else if (cell.units != plan.units)
             unitsAgree = false;
-        plan.lanePointers.push_back(point.multiPointers);
+        plan.lanePointers.push_back(cell.pointers);
     }
     plan.collapse = unitsAgree && plan.lanePointers.size() >= 2;
     return plan;
 }
-
-} // namespace
 
 SweepRunner::SweepRunner(unsigned jobs)
     : _jobs(ThreadPool::resolveThreads(jobs))
@@ -98,8 +94,7 @@ SweepRunner::plannedMultiLanes() const
     std::vector<std::size_t> lanes;
     std::size_t begin = 0;
     for (const std::size_t size : plannedGroupSizes()) {
-        const CollapsePlan plan =
-            planCollapse(_points, begin, begin + size);
+        const CollapsePlan plan = planGroup(_points, begin, begin + size);
         lanes.push_back(plan.collapse ? plan.lanePointers.size() : 0);
         begin += size;
     }
@@ -131,8 +126,7 @@ SweepRunner::run()
             // reference for the whole pointer-count row.  Everyone
             // else (and every cell when the plan falls back) builds
             // its own engines.
-            const CollapsePlan plan =
-                planCollapse(_points, begin, end);
+            const CollapsePlan plan = planGroup(_points, begin, end);
             coherence::MultiLimitedEngine *multi = nullptr;
             std::vector<std::size_t> lane(end - begin, kNoLane);
             std::vector<std::vector<std::size_t>> slots(end - begin);

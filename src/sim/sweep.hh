@@ -85,6 +85,37 @@ runOrdered(unsigned jobs,
     return results;
 }
 
+/**
+ * One cell's multi-configuration collapse hint: a DiriNB pointer
+ * count (0 = not collapsible) and the unit count its engine would
+ * have (see SweepPoint::multiPointers).
+ */
+struct CollapseHint
+{
+    unsigned pointers = 0;
+    unsigned units = 0;
+};
+
+/** A group of cells' multi-configuration collapse plan. */
+struct CollapsePlan
+{
+    /** Pointer counts of the collapsible cells, in cell order. */
+    std::vector<unsigned> lanePointers;
+    unsigned units = 0;
+    /** Run the collapsible cells as lanes of one MultiLimitedEngine. */
+    bool collapse = false;
+};
+
+/**
+ * The DiriNB collapse rule, shared by SweepRunner's fusion groups and
+ * analysis::evaluateMatrix's per-workload plans: the cells collapse
+ * into one coherence::MultiLimitedEngine when at least two carry a
+ * pointer hint and all of those agree on the unit count.
+ *
+ * @throws std::invalid_argument if a hint has pointers but no units.
+ */
+CollapsePlan planCollapse(const std::vector<CollapseHint> &cells);
+
 /** One independent simulation job in a sweep. */
 struct SweepPoint
 {

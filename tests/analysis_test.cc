@@ -824,3 +824,189 @@ TEST(BatchedStudies, CharacterizeWorkloadsIdenticalAtAnyJobCount)
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// evaluateMatrix's dependency-driven plan: per-cell results against
+// one serial Simulator per cell, at several job counts, in memory and
+// streamed; failure capture; one build per distinct trace.
+
+#include <filesystem>
+#include <stdexcept>
+
+#include <unistd.h>
+
+#include "sim/trace_repo.hh"
+
+namespace
+{
+
+using namespace dirsim;
+using namespace dirsim::analysis;
+
+EngineSpec
+planInvalSpec()
+{
+    return {[](unsigned units) {
+        coherence::InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        return std::make_unique<coherence::InvalEngine>(cfg);
+    }};
+}
+
+/** inval, dragon and three collapsible DiriNB lanes. */
+std::vector<EngineSpec>
+planSpecs()
+{
+    std::vector<EngineSpec> specs = {
+        planInvalSpec(),
+        {[](unsigned units) {
+            return std::make_unique<coherence::DragonEngine>(units);
+        }},
+    };
+    for (const unsigned p : {1u, 2u, 4u})
+        specs.push_back({[p](unsigned units) {
+                             return std::make_unique<
+                                 coherence::LimitedEngine>(units, p);
+                         },
+                         p});
+    return specs;
+}
+
+/** The scaled workload at 2..64 CPUs, short traces. */
+std::vector<gen::WorkloadConfig>
+planConfigs()
+{
+    std::vector<gen::WorkloadConfig> cfgs;
+    for (const unsigned n : {2u, 4u, 8u, 16u, 32u, 64u})
+        cfgs.push_back(gen::scaledConfig(n, 1'500ull * n));
+    return cfgs;
+}
+
+/** One serial Simulator with one engine over a fresh stream. */
+coherence::EngineResults
+oracleCell(const gen::WorkloadConfig &cfg, const EngineSpec &spec)
+{
+    sim::Simulator simulator;
+    auto &engine = simulator.addEngine(spec.make(cfg.space.nProcesses));
+    gen::WorkloadSource source(cfg);
+    simulator.run(source);
+    return engine.results();
+}
+
+/** Points the global repository's disk tier at a temporary directory
+ *  for the test's lifetime, then disables it and removes the files. */
+struct GlobalDiskTier
+{
+    GlobalDiskTier()
+        : path(testing::TempDir() + "dirsim-plan-" +
+               std::to_string(::getpid()))
+    {
+        std::filesystem::remove_all(path);
+        sim::DiskCacheConfig disk;
+        disk.dir = path;
+        disk.chunkRefs = 4 * 1024; // many span boundaries per trace
+        sim::TraceRepository::global().setDiskCache(disk);
+    }
+    ~GlobalDiskTier()
+    {
+        sim::TraceRepository::global().setDiskCache({});
+        std::filesystem::remove_all(path);
+    }
+    std::string path;
+};
+
+TEST(EvaluateMatrixPlan, MatchesPerCellOracle)
+{
+    const std::vector<gen::WorkloadConfig> cfgs = planConfigs();
+    const std::vector<EngineSpec> specs = planSpecs();
+    std::vector<std::vector<coherence::EngineResults>> want;
+    for (const gen::WorkloadConfig &cfg : cfgs) {
+        want.emplace_back();
+        for (const EngineSpec &spec : specs)
+            want.back().push_back(oracleCell(cfg, spec));
+    }
+
+    const GlobalDiskTier disk;
+    for (const bool streamed : {false, true}) {
+        for (const unsigned jobs : {1u, 3u, 4u}) {
+            EvalOptions opts;
+            opts.jobs = jobs;
+            opts.streamReplay = streamed;
+            const auto got = evaluateMatrix(cfgs, specs, opts);
+            ASSERT_EQ(got.size(), cfgs.size());
+            for (std::size_t c = 0; c < cfgs.size(); ++c) {
+                ASSERT_EQ(got[c].size(), specs.size());
+                for (std::size_t f = 0; f < specs.size(); ++f)
+                    EXPECT_TRUE(got[c][f] == want[c][f])
+                        << cfgs[c].name << " column " << f << " ("
+                        << want[c][f].name << ") at jobs " << jobs
+                        << (streamed ? ", streamed" : ", in memory");
+            }
+        }
+    }
+}
+
+TEST(EvaluateMatrixPlan, RethrowsEarliestFailure)
+{
+    // dragon and Dir1NB are built for four units whatever the
+    // workload needs, so both fail on the 16- and 8-CPU traces; the
+    // earliest failing cell is (16 CPUs, dragon), although the
+    // longest-first plan may hit either trace first.
+    const std::vector<EngineSpec> specs = {
+        planInvalSpec(),
+        {[](unsigned) {
+            return std::make_unique<coherence::DragonEngine>(4);
+        }},
+        {[](unsigned) {
+            return std::make_unique<coherence::LimitedEngine>(4, 1);
+        }},
+    };
+    const std::vector<gen::WorkloadConfig> cfgs = {
+        gen::scaledConfig(2, 4'000), gen::scaledConfig(16, 32'000),
+        gen::scaledConfig(8, 16'000)};
+    for (const unsigned jobs : {1u, 4u}) {
+        EvalOptions opts;
+        opts.jobs = jobs;
+        try {
+            evaluateMatrix(cfgs, specs, opts);
+            ADD_FAILURE() << "no exception at jobs " << jobs;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("'dragon'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // A failing fetch (streamed replay with no disk tier) is
+    // captured and rethrown the same way.
+    ASSERT_FALSE(sim::TraceRepository::global().diskCacheEnabled());
+    EvalOptions streamed;
+    streamed.jobs = 4;
+    streamed.streamReplay = true;
+    EXPECT_THROW(evaluateMatrix(cfgs, specs, streamed), std::logic_error);
+}
+
+TEST(EvaluateMatrixPlan, BuildsEachTraceOnce)
+{
+    // Seeds no other test uses, so every distinct trace starts cold.
+    std::vector<gen::WorkloadConfig> distinct;
+    for (const unsigned n : {4u, 8u, 16u}) {
+        gen::WorkloadConfig cfg = gen::scaledConfig(n, 2'000ull * n);
+        cfg.seed ^= 0xB0117D5ULL;
+        distinct.push_back(cfg);
+    }
+    const std::vector<gen::WorkloadConfig> cfgs = {
+        distinct[0], distinct[1], distinct[2], distinct[1], distinct[0]};
+
+    sim::TraceRepository &repo = sim::TraceRepository::global();
+    const std::uint64_t before = repo.stats().builds;
+    EvalOptions opts;
+    opts.jobs = 4;
+    const auto got = evaluateMatrix(cfgs, planSpecs(), opts);
+    EXPECT_EQ(repo.stats().builds - before, distinct.size());
+    ASSERT_EQ(got.size(), cfgs.size());
+    EXPECT_TRUE(got[0] == got[4]);
+    EXPECT_TRUE(got[1] == got[3]);
+}
+
+} // namespace
