@@ -23,9 +23,6 @@
  * per-set histogram flags a set index that aliases the workload's
  * footprint.
  *
- * Plain main() like bench_hotpath: the measurement is a deterministic
- * replay, so google-benchmark adds nothing.
- *
  * Flags:
  *   --refs N    per-workload trace length (default: the standard
  *               quarter-size workloads' own lengths)
@@ -33,6 +30,7 @@
  *   --assoc N   directory-cache associativity (default 4)
  *   --out PATH  JSON output path (default BENCH_dir_cache.json)
  *   --smoke     tiny CI configuration: short traces, two sizes
+ *   -h, --help  print the usage line on stdout and exit 0
  */
 
 #include <algorithm>
@@ -75,11 +73,20 @@ struct Options
     bool smoke = false;
 };
 
+const char *const kUsage =
+    "Usage: bench_ext_dir_cache [--refs N] [--jobs N] [--assoc N] "
+    "[--out PATH] [--smoke]\n";
+
 Options
 parseOptions(int argc, char **argv)
 {
     Options opts;
     for (int a = 1; a < argc; ++a) {
+        if (std::strcmp(argv[a], "--help") == 0 ||
+            std::strcmp(argv[a], "-h") == 0) {
+            std::cout << kUsage;
+            std::exit(0);
+        }
         const auto want = [&](const char *flag) -> const char * {
             if (a + 1 >= argc) {
                 std::cerr << "error: " << flag
@@ -101,10 +108,8 @@ parseOptions(int argc, char **argv)
         } else if (std::strcmp(argv[a], "--smoke") == 0) {
             opts.smoke = true;
         } else {
-            std::cerr
-                << "error: unknown flag '" << argv[a] << "'\n"
-                << "usage: bench_ext_dir_cache [--refs N] [--jobs N] "
-                   "[--assoc N] [--out PATH] [--smoke]\n";
+            std::cerr << "error: unknown flag '" << argv[a] << "'\n"
+                      << kUsage;
             std::exit(2);
         }
     }

@@ -11,10 +11,6 @@
  * in a machine-readable JSON file so CI and the PR description can
  * compare before/after numbers.
  *
- * Unlike the exhibit benches this is a plain main(): google-benchmark
- * adds nothing to a best-of-N wall-clock measurement of a
- * deterministic replay loop.
- *
  * Each engine runs twice: once from the raw MemoryTrace (per-record
  * unit/block mapping on the replay path) and once from a
  * trace::PreparedTrace (decode-once SoA columns), so the decode-once

@@ -23,6 +23,7 @@
  *   --rss-floor R  fail (exit 1) if the materialised-over-streamed
  *                  RSS ratio falls below R (default 0 = report only)
  *   --smoke        small quick run for CI (256k refs, 1 rep)
+ *   -h, --help     print the usage line on stdout and exit 0
  */
 
 #include <sys/resource.h>
@@ -73,11 +74,20 @@ struct ChunkPoint
     std::uint64_t fileBytes = 0;
 };
 
+const char *const kUsage =
+    "Usage: bench_stream_replay [--refs N] [--reps N] [--out PATH] "
+    "[--rss-floor R] [--smoke]\n";
+
 Options
 parseOptions(int argc, char **argv)
 {
     Options opts;
     for (int a = 1; a < argc; ++a) {
+        if (std::strcmp(argv[a], "--help") == 0 ||
+            std::strcmp(argv[a], "-h") == 0) {
+            std::cout << kUsage;
+            std::exit(0);
+        }
         const auto want = [&](const char *flag) -> const char * {
             if (a + 1 >= argc) {
                 std::cerr << "error: " << flag
@@ -101,9 +111,7 @@ parseOptions(int argc, char **argv)
             opts.smoke = true;
         } else {
             std::cerr << "error: unknown flag '" << argv[a] << "'\n"
-                      << "usage: bench_stream_replay [--refs N] "
-                         "[--reps N] [--out PATH] [--rss-floor R] "
-                         "[--smoke]\n";
+                      << kUsage;
             std::exit(2);
         }
     }

@@ -13,18 +13,23 @@
  *    FCFS and round-robin spread the stall evenly and fixed priority
  *    starves the high-index CPUs.
  *
- * The timed sweep fans out with `--jobs N` (same knob as the other
- * sweep benches); results are bit-identical across worker counts.
+ * The timed sweep fans out with `--jobs N`; results are bit-identical
+ * across worker counts.  A closing `[bench]` line reports the sweep's
+ * wall clock and refs/sec.
  */
 
+#include <cstdlib>
+#include <cstring>
+#include <iostream>
+
 #include "bench_common.hh"
+#include "cli/parse.hh"
 
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
 #include "gen/workloads.hh"
 #include "stats/table.hh"
-#include "timing/event_queue.hh"
 #include "timing/sweep.hh"
 #include "timing/timed_bus.hh"
 
@@ -73,8 +78,14 @@ pointFor(sim::Scheme scheme, unsigned nCpus, timing::Discipline d)
     return point;
 }
 
+const char *const kUsage =
+    "Usage: bench_timing_contention [--jobs N]\n"
+    "  --jobs N   worker threads for the timed sweep (0 = one per\n"
+    "             hardware thread; default 1)\n"
+    "  -h, --help print this help and exit\n";
+
 std::string
-exhibit()
+exhibit(unsigned jobs)
 {
     const std::vector<unsigned> cpuCounts = {2, 4, 8, 16};
 
@@ -90,9 +101,11 @@ exhibit()
         points.push_back(pointFor(sim::Scheme::WTI, 8, d));
 
     bench::WallTimer timer;
-    const auto runs =
-        timing::runTimedSweep(points, bench::sweepJobs());
+    const auto runs = timing::runTimedSweep(points, jobs);
     const double sweep_s = timer.seconds();
+    std::uint64_t refs = 0;
+    for (const timing::TimedRun &run : runs)
+        refs += run.refs;
 
     std::ostringstream os;
 
@@ -135,68 +148,34 @@ exhibit()
              stats::TextTable::num(run.cpus.back().stallFraction())});
     }
     os << disc.toString() << "\n";
-    os << "[sweep] " << points.size() << " timed runs in " << sweep_s
-       << " s (--jobs " << bench::sweepJobs() << ")\n";
+    os << bench::throughputLine(std::to_string(points.size()) +
+                                    " timed runs (--jobs " +
+                                    std::to_string(jobs) + ")",
+                                refs, sweep_s)
+       << "\n";
     return os.str();
 }
-
-void
-BM_TimedBusRun(benchmark::State &state)
-{
-    const gen::WorkloadConfig workload = gen::scaledConfig(4, 40'000);
-    for (auto _ : state) {
-        timing::TimedBusConfig cfg;
-        cfg.scheme = sim::Scheme::Dir0B;
-        cfg.bus = timing::timedPipelinedBus();
-        coherence::InvalEngineConfig ecfg;
-        ecfg.nUnits = workload.space.nProcesses;
-        timing::TimedBusSim sim(
-            cfg, std::make_unique<coherence::InvalEngine>(ecfg));
-        gen::WorkloadSource source(workload);
-        benchmark::DoNotOptimize(sim.run(source).busBusyCycles);
-    }
-}
-BENCHMARK(BM_TimedBusRun)->Unit(benchmark::kMillisecond);
-
-void
-BM_EventQueueChurn(benchmark::State &state)
-{
-    // The timed bus's event pattern: 16 CPUs, each re-armed one or two
-    // cycles ahead, and a five-cycle bus tenure whenever the bus frees.
-    for (auto _ : state) {
-        timing::CycleCalendar calendar(16, 2);
-        for (unsigned c = 0; c < 16; ++c)
-            calendar.scheduleCpu(0, c);
-        bool busPending = false;
-        std::uint64_t acc = 0;
-        while (calendar.advance()) {
-            const std::uint64_t now = calendar.now();
-            if (calendar.takeBusCompletion()) {
-                busPending = false;
-                acc += now;
-            }
-            unsigned cpu;
-            while (calendar.popCpu(cpu)) {
-                acc += cpu;
-                if (now < 1024)
-                    calendar.scheduleCpu(now + 1 + (now + cpu) % 2,
-                                         cpu);
-            }
-            if (!busPending && now < 1024) {
-                calendar.scheduleBus(now + 5);
-                busPending = true;
-            }
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_EventQueueChurn);
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    dirsim::bench::parseJobs(&argc, argv);
-    return dirsim::bench::runBench(argc, argv, exhibit);
+    unsigned jobs = 1;
+    for (int a = 1; a < argc; ++a) {
+        if (std::strcmp(argv[a], "--help") == 0 ||
+            std::strcmp(argv[a], "-h") == 0) {
+            std::cout << kUsage;
+            return 0;
+        } else if (std::strcmp(argv[a], "--jobs") == 0 && a + 1 < argc) {
+            jobs = dirsim::cli::parseUnsigned(argv[++a], "--jobs");
+        } else {
+            std::cerr << "error: unknown or incomplete option '"
+                      << argv[a] << "'\n"
+                      << kUsage;
+            return 2;
+        }
+    }
+    std::cout << exhibit(jobs);
+    return 0;
 }

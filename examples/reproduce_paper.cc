@@ -1,14 +1,15 @@
 /**
  * @file
- * One-shot reproduction driver: runs the complete evaluation — every
- * table and figure of the paper plus the extension studies — and
- * writes each exhibit as both aligned text and CSV into an output
- * directory, so the whole paper can be regenerated (and plotted) with
- * a single command.
+ * One-shot reproduction driver: renders every exhibit of the
+ * registry (analysis/registry.hh) — every table and figure of the
+ * paper plus the extension studies — and writes each as both aligned
+ * text and CSV into an output directory, so the whole paper can be
+ * regenerated (and plotted) with a single command.
  *
  * Run with --help for the options.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -18,13 +19,8 @@
 #include <iostream>
 
 #include "analysis/evaluation.hh"
+#include "analysis/registry.hh"
 #include "cli/parse.hh"
-#include "analysis/exhibits.hh"
-#include "analysis/analytical.hh"
-#include "analysis/extensions.hh"
-#include "analysis/system_perf.hh"
-#include "directory/storage.hh"
-#include "gen/workloads.hh"
 #include "sim/trace_repo.hh"
 #include "trace/store.hh"
 
@@ -33,46 +29,57 @@ namespace
 
 using namespace dirsim;
 
-std::filesystem::path outDir;
-
-const char *const kUsage =
-    "Usage: reproduce_paper [outdir] [options]\n"
-    "  outdir   defaults to ./results\n"
-    "  --full   full-size (~3.2M reference) traces\n"
-    "  --jobs N worker threads for the simulation sweeps (0 = one\n"
-    "           per hardware thread; default 1); each trace's schemes\n"
-    "           replay as soon as the trace is built, and the exhibits\n"
-    "           are bit-identical at any job count\n"
-    "  --trace-cache-dir PATH    persist prepared traces as out-of-core\n"
-    "           store files under PATH and replay them streamed; a\n"
-    "           second run (even in another process) reuses the files\n"
-    "           and skips all generate/prepare work\n"
-    "  --trace-cache-budget MiB  disk-cache byte budget (default 4096)\n"
-    "  --stream-chunk-refs N     refs per streamed chunk (default\n"
-    "           1048576; smaller = lower replay RSS)\n"
-    "  --repo-stats   print trace-repository hit/miss/spill counters\n"
-    "           at the end of the run\n"
-    "  --schemes CSV  restrict the Section 6 DiriNB pointer sweep to\n"
-    "           the named configurations (dir1nb..dir8nb, in the order\n"
-    "           given); an unknown name is a hard error\n"
-    "  --no-direct-gen  build prepared traces through the legacy\n"
-    "           generateTrace + two-phase decode instead of the\n"
-    "           single-pass direct generate-prepare pipeline (A/B\n"
-    "           hatch; exhibits are bit-identical either way)\n"
-    "  --gen-chunk-refs N  data references per direct-pipeline pack\n"
-    "           chunk (default 65536)\n"
-    "  -h, --help     print this help and exit\n";
+/** The usage text, ending in the registry's exhibit names. */
+std::string
+usage()
+{
+    std::string text =
+        "Usage: reproduce_paper [outdir] [options]\n"
+        "  outdir   defaults to ./results\n"
+        "  --full   full-size (~3.2M reference) traces\n"
+        "  --jobs N worker threads for the simulation sweeps (0 = one\n"
+        "           per hardware thread; default 1); each trace's schemes\n"
+        "           replay as soon as the trace is built, and the exhibits\n"
+        "           are bit-identical at any job count\n"
+        "  --only NAME[,NAME...]  write only the named exhibits (names\n"
+        "           below; an unknown name is a hard error)\n"
+        "  --trace-cache-dir PATH    persist prepared traces as out-of-core\n"
+        "           store files under PATH and replay them streamed; a\n"
+        "           second run (even in another process) reuses the files\n"
+        "           and skips all generate/prepare work\n"
+        "  --trace-cache-budget MiB  disk-cache byte budget (default 4096)\n"
+        "  --stream-chunk-refs N     refs per streamed chunk (default\n"
+        "           1048576; smaller = lower replay RSS)\n"
+        "  --repo-stats   print trace-repository hit/miss/spill counters\n"
+        "           at the end of the run\n"
+        "  --schemes CSV  restrict the Section 6 DiriNB pointer sweep to\n"
+        "           the named configurations (dir1nb..dir8nb, in the order\n"
+        "           given); an unknown name is a hard error\n"
+        "  -h, --help     print this help and exit\n"
+        "Exhibits, in output order (each written as NAME.txt and "
+        "NAME.csv):\n";
+    std::string line = " ";
+    for (const analysis::Exhibit &ex : analysis::exhibitRegistry()) {
+        if (line.size() + 1 + ex.name.size() > 72) {
+            text += line + "\n";
+            line = " ";
+        }
+        line += " " + ex.name;
+    }
+    return text + line + "\n";
+}
 
 /** Report a bad command line and exit 2, before any output exists. */
 [[noreturn]] void
 usageError(const std::string &why)
 {
-    std::cerr << "error: " << why << "\n" << kUsage;
+    std::cerr << "error: " << why << "\n" << usage();
     std::exit(2);
 }
 
 void
-emit(const std::string &name, const stats::TextTable &table)
+emit(const std::filesystem::path &outDir, const std::string &name,
+     const stats::TextTable &table)
 {
     std::cout << table.toString() << "\n";
     std::ofstream txt(outDir / (name + ".txt"));
@@ -97,7 +104,9 @@ main(int argc, char **argv)
     // Section 6 sweeps Dir1NB..Dir4NB by default (the paper's range);
     // --schemes replaces the list from the dirXnb vocabulary.
     std::vector<unsigned> sweepPointers = {1, 2, 3, 4};
-    outDir = "results";
+    // Empty: every exhibit.
+    std::vector<std::string> only;
+    std::filesystem::path outDir = "results";
     bool haveOutDir = false;
     const auto want = [&](int &a, const char *flag) -> const char * {
         if (a + 1 >= argc) {
@@ -109,7 +118,7 @@ main(int argc, char **argv)
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--help") == 0 ||
             std::strcmp(argv[a], "-h") == 0) {
-            std::cout << kUsage;
+            std::cout << usage();
             return 0;
         } else if (std::strcmp(argv[a], "--full") == 0) {
             full_size = true;
@@ -117,6 +126,13 @@ main(int argc, char **argv)
             jobs = cli::parseUnsigned(want(a, "--jobs"), "--jobs");
         } else if (std::strncmp(argv[a], "--jobs=", 7) == 0) {
             jobs = cli::parseUnsigned(argv[a] + 7, "--jobs");
+        } else if (std::strcmp(argv[a], "--only") == 0) {
+            std::vector<std::string> names;
+            for (const analysis::Exhibit &ex :
+                 analysis::exhibitRegistry())
+                names.push_back(ex.name);
+            only = cli::parseNameList(want(a, "--only"), "--only",
+                                      names);
         } else if (std::strcmp(argv[a], "--trace-cache-dir") == 0) {
             cacheDir = want(a, "--trace-cache-dir");
         } else if (std::strcmp(argv[a], "--trace-cache-budget") ==
@@ -130,16 +146,6 @@ main(int argc, char **argv)
                 1, 1u << 31);
         } else if (std::strcmp(argv[a], "--repo-stats") == 0) {
             repoStats = true;
-        } else if (std::strcmp(argv[a], "--no-direct-gen") == 0) {
-            // A/B escape hatch: the legacy two-pass cold path instead
-            // of the single-pass direct generate-prepare pipeline.
-            // Results are bit-identical either way.
-            sim::TraceRepository::global().setDirectGen(false);
-        } else if (std::strcmp(argv[a], "--gen-chunk-refs") == 0) {
-            sim::TraceRepository::global().setDirectGenChunkRefs(
-                cli::parseUnsignedInRange(want(a, "--gen-chunk-refs"),
-                                          "--gen-chunk-refs", 1,
-                                          1u << 31));
         } else if (std::strcmp(argv[a], "--schemes") == 0) {
             const std::vector<std::string> allowed = {
                 "dir1nb", "dir2nb", "dir3nb", "dir4nb",
@@ -160,106 +166,54 @@ main(int argc, char **argv)
             haveOutDir = true;
         }
     }
-    // Every evaluation below (including the ones inside the extension
-    // studies) picks this up and fans out over the sweep engine.
-    analysis::setDefaultEvalJobs(jobs);
-    if (!cacheDir.empty()) {
-        sim::DiskCacheConfig disk;
-        disk.dir = cacheDir;
-        disk.budgetBytes = cacheBudgetMiB * 1024 * 1024;
-        disk.chunkRefs = streamChunkRefs;
-        sim::TraceRepository::global().setDiskCache(disk);
-        // Stream warm/spilled store files instead of materialising
-        // prepared traces; results are bit-identical either way.
-        analysis::setDefaultStreamReplay(true);
-        std::cout << "Trace cache: " << cacheDir << " (budget "
-                  << cacheBudgetMiB << " MiB, chunk "
-                  << streamChunkRefs << " refs)\n";
-    }
-    std::filesystem::create_directories(outDir);
-    std::cout << "Writing exhibits to " << outDir << "/ (sweep jobs: "
-              << jobs << ") ...\n\n";
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    const auto workloads = gen::standardWorkloads(full_size);
-
-    emit("table1", analysis::table1());
-    emit("table2", analysis::table2());
-    emit("table3",
-         analysis::table3(analysis::characterizeWorkloads(workloads)));
-
-    const analysis::Evaluation eval =
-        analysis::evaluateWorkloads(workloads);
-    emit("table4", analysis::table4(eval));
-    emit("figure1",
-         analysis::renderFigure1(analysis::figure1(eval), 5));
-    emit("figure2", analysis::figure2(eval));
-    emit("figure3", analysis::figure3(eval));
-    emit("table5", analysis::table5(eval));
-    emit("figure4", analysis::figure4(eval));
-    emit("figure5", analysis::figure5(eval));
-    emit("sec51_overhead",
-         analysis::section51(eval, {0.0, 1.0, 2.0, 4.0}));
-
-    {
-        analysis::EvalOptions opts;
-        opts.dropLockTests = true;
-        const analysis::Evaluation no_locks =
-            analysis::evaluateWorkloads(workloads, opts);
-        emit("sec52_spinlocks", analysis::section52(eval, no_locks));
-    }
-
-    emit("sec6_alternatives",
-         analysis::renderSection6(analysis::section6(eval, 8.0), 8.0));
-    emit("sec6_dirinb_sweep",
-         analysis::limitedSweepTable(
-             analysis::limitedSweep(workloads, sweepPointers),
-             sweepPointers));
-    emit("ext_directory_messages",
-         analysis::renderDirectoryMessages(
-             analysis::directoryMessageStudy(full_size)));
-
-    // System limit (Section 5 closing paragraph).
-    {
-        std::vector<analysis::SystemEstimate> estimates;
-        for (const auto &sc : analysis::schemeCosts(eval.average)) {
-            estimates.push_back(analysis::systemEstimate(
-                sc.pipelined, analysis::MachineParams{}));
+    try {
+        // Every evaluation below (including the ones inside the
+        // extension studies) picks this up and fans out over the
+        // sweep engine.
+        analysis::setDefaultEvalJobs(jobs);
+        if (!cacheDir.empty()) {
+            sim::DiskCacheConfig disk;
+            disk.dir = cacheDir;
+            disk.budgetBytes = cacheBudgetMiB * 1024 * 1024;
+            disk.chunkRefs = streamChunkRefs;
+            sim::TraceRepository::global().setDiskCache(disk);
+            // Stream warm/spilled store files instead of
+            // materialising prepared traces; results are
+            // bit-identical either way.
+            analysis::setDefaultStreamReplay(true);
+            std::cout << "Trace cache: " << cacheDir << " (budget "
+                      << cacheBudgetMiB << " MiB, chunk "
+                      << streamChunkRefs << " refs)\n";
         }
-        emit("sec5_system_limit",
-             analysis::renderSystemLimits(estimates, {4, 8, 16, 32}));
+        std::filesystem::create_directories(outDir);
+        std::cout << "Writing exhibits to " << outDir
+                  << "/ (sweep jobs: " << jobs << ") ...\n\n";
+        const auto wall_start = std::chrono::steady_clock::now();
+
+        analysis::Campaign campaign(full_size, sweepPointers);
+        for (const analysis::Exhibit &ex : analysis::exhibitRegistry())
+            if (only.empty() ||
+                std::find(only.begin(), only.end(), ex.name) !=
+                    only.end())
+                emit(outDir, ex.name, ex.render(campaign));
+
+        const double wall_s =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - wall_start)
+                .count();
+        std::cout << "Done: " << outDir << "/ contains "
+                  << (only.empty() ? "every exhibit"
+                                   : "the selected exhibits")
+                  << " as .txt and .csv (" << wall_s
+                  << " s wall clock, " << jobs << " sweep job"
+                  << (jobs == 1 ? "" : "s") << ")\n";
+        if (repoStats)
+            std::cout << "Repo stats: "
+                      << sim::TraceRepository::global().stats().summary()
+                      << "\n";
+    } catch (const std::exception &err) {
+        std::cerr << "error: " << err.what() << "\n";
+        return 1;
     }
-
-    // Extension studies.
-    emit("ext_scaling",
-         analysis::renderScaling(analysis::scalingStudy({2, 4, 8, 16})));
-    emit("ext_finite_cache",
-         analysis::renderFiniteCache(analysis::finiteCacheStudy(
-             {16 * 1024, 128 * 1024, 1024 * 1024}, full_size)));
-    emit("ext_sharing_domain",
-         analysis::renderSharingDomain(
-             analysis::sharingDomainStudy(0.02, full_size)));
-    emit("ext_network",
-         analysis::renderNetwork(
-             analysis::networkStudy({2, 4, 8, 16, 32, 64})));
-    emit("ext_home_locality",
-         analysis::renderHomeLocality(
-             analysis::homeLocalityStudy({2, 4, 8, 16, 32})));
-    emit("ext_analytical",
-         analysis::renderAnalytical(
-             analysis::analyticalStudy(workloads)));
-
-    const double wall_s =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    std::cout << "Done: " << outDir << "/ contains every exhibit as "
-              << ".txt and .csv (" << wall_s << " s wall clock, "
-              << jobs << " sweep job" << (jobs == 1 ? "" : "s")
-              << ")\n";
-    if (repoStats)
-        std::cout << "Repo stats: "
-                  << sim::TraceRepository::global().stats().summary()
-                  << "\n";
     return 0;
 }

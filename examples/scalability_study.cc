@@ -26,7 +26,6 @@
 #include "analysis/extensions.hh"
 #include "bus/bus_model.hh"
 #include "cli/parse.hh"
-#include "directory/storage.hh"
 #include "sim/cost_model.hh"
 #include "stats/table.hh"
 
@@ -85,19 +84,8 @@ main(int argc, char **argv)
     std::cout << sweep.toString() << "\n";
 
     // Storage comparison at the swept machine sizes.
-    const auto storage =
-        directory::storageTable(counts, directory::StorageParams{});
-    std::vector<std::string> headers = {"Scheme"};
-    for (unsigned n : counts)
-        headers.push_back("n=" + std::to_string(n));
-    stats::TextTable storage_table(
-        "Directory storage (bits per memory block)", headers);
-    for (const auto &row : storage) {
-        std::vector<std::string> cells = {row.scheme};
-        for (double bits : row.bitsPerBlock)
-            cells.push_back(stats::TextTable::num(bits, 1));
-        storage_table.addRow(cells);
-    }
-    std::cout << storage_table.toString();
+    std::cout << analysis::renderStorage(
+                     counts, "Directory storage (bits per memory block)")
+                     .toString();
     return 0;
 }

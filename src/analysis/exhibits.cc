@@ -2,6 +2,7 @@
 
 #include "bus/bus_model.hh"
 #include "coherence/events.hh"
+#include "directory/storage.hh"
 
 namespace dirsim::analysis
 {
@@ -480,6 +481,24 @@ renderSection6(const Section6 &sec, double broadcastCost)
         table.addRow({"Dir" + std::to_string(i) + "B (b=" +
                           TextTable::num(broadcastCost, 0) + ")",
                       TextTable::num(total)});
+    }
+    return table;
+}
+
+TextTable
+renderStorage(const std::vector<unsigned> &counts,
+              const std::string &title)
+{
+    std::vector<std::string> headers = {"Scheme"};
+    for (unsigned n : counts)
+        headers.push_back("n=" + std::to_string(n));
+    TextTable table(title, headers);
+    for (const auto &row :
+         directory::storageTable(counts, directory::StorageParams{})) {
+        std::vector<std::string> cells = {row.scheme};
+        for (double bits : row.bitsPerBlock)
+            cells.push_back(TextTable::num(bits, 1));
+        table.addRow(cells);
     }
     return table;
 }

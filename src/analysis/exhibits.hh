@@ -111,6 +111,11 @@ Section6 section6(const Evaluation &eval, double broadcastCost = 8.0);
 stats::TextTable renderSection6(const Section6 &sec,
                                 double broadcastCost);
 
+/** Directory storage in bits per main-memory block, one column per
+ *  machine size in @p counts (directory::storageTable). */
+stats::TextTable renderStorage(const std::vector<unsigned> &counts,
+                               const std::string &title);
+
 /** DiriNB sweep rendering (misses vs pointer count). */
 stats::TextTable
 limitedSweepTable(const std::vector<coherence::EngineResults> &sweep,

@@ -1010,3 +1010,92 @@ TEST(EvaluateMatrixPlan, BuildsEachTraceOnce)
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// The exhibit registry reproduce_paper walks.
+// ---------------------------------------------------------------------
+
+#include <set>
+
+#include "analysis/registry.hh"
+
+namespace
+{
+
+using namespace dirsim;
+using namespace dirsim::analysis;
+
+const Exhibit &
+exhibitNamed(const std::string &name)
+{
+    for (const Exhibit &ex : exhibitRegistry())
+        if (ex.name == name)
+            return ex;
+    throw std::out_of_range("no exhibit " + name);
+}
+
+TEST(ExhibitRegistry, NamesAreUniqueAndFixed)
+{
+    std::vector<std::string> names;
+    for (const Exhibit &ex : exhibitRegistry())
+        names.push_back(ex.name);
+    // Output order: the paper's exhibits, the extensions, then the
+    // tables that once lived only in bench binaries.
+    const std::vector<std::string> expected = {
+        "table1",
+        "table2",
+        "table3",
+        "table4",
+        "figure1",
+        "figure2",
+        "figure3",
+        "table5",
+        "figure4",
+        "figure5",
+        "sec51_overhead",
+        "sec52_spinlocks",
+        "sec6_alternatives",
+        "sec6_dirinb_sweep",
+        "ext_directory_messages",
+        "sec5_system_limit",
+        "ext_scaling",
+        "ext_finite_cache",
+        "ext_sharing_domain",
+        "ext_network",
+        "ext_home_locality",
+        "ext_analytical",
+        "sec5_berkeley",
+        "sec6_storage",
+        "ext_ablation_block_size",
+        "ext_ablation_lock_layout",
+        "ext_ablation_migration",
+    };
+    EXPECT_EQ(names, expected);
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+              names.size());
+}
+
+TEST(ExhibitRegistry, ConstantTablesBuildNoTrace)
+{
+    // The campaign evaluates lazily: tables that need no simulation
+    // must not generate a single trace.
+    sim::TraceRepository &repo = sim::TraceRepository::global();
+    const std::uint64_t before = repo.stats().builds;
+    Campaign campaign;
+    for (const char *name : {"table1", "table2", "sec6_storage"})
+        EXPECT_FALSE(
+            exhibitNamed(name).render(campaign).toString().empty())
+            << name;
+    EXPECT_EQ(repo.stats().builds - before, 0u);
+}
+
+TEST(ExhibitRegistry, Table1MatchesDirectRender)
+{
+    Campaign campaign;
+    const stats::TextTable viaRegistry =
+        exhibitNamed("table1").render(campaign);
+    EXPECT_EQ(viaRegistry.toString(), table1().toString());
+    EXPECT_EQ(viaRegistry.toCsv(), table1().toCsv());
+}
+
+} // namespace

@@ -175,7 +175,7 @@ TEST(ParseDoubleDeathTest, RangeEnforced)
 }
 
 /*
- * --gen-chunk-refs (reproduce_paper and bench_hotpath) parses through
+ * bench_hotpath's --gen-chunk-refs parses through
  * the same strict helper and range as --stream-chunk-refs: boundaries
  * round-trip, everything outside exits 2 with the flag named.
  */
