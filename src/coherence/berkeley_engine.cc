@@ -42,20 +42,29 @@ BerkeleyEngine::owner(mem::BlockId block) const
     return st ? st->owner : -1;
 }
 
+template <typename Sink>
 void
-BerkeleyEngine::access(unsigned unit, trace::RefType type,
+BerkeleyEngine::access(Sink &sink, unsigned unit, trace::RefType type,
                        mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
-        _results.events.record(Event::Instr);
+        sink.event(Event::Instr);
         return;
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, st);
+        handleRead(sink, unit, st);
     else
-        handleWrite(unit, st);
+        handleWrite(sink, unit, st);
+}
+
+void
+BerkeleyEngine::access(unsigned unit, trace::RefType type,
+                       mem::BlockId block)
+{
+    CountingSink sink(_results);
+    access(sink, unit, type, block);
 }
 
 void
@@ -69,7 +78,15 @@ BerkeleyEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 void
 BerkeleyEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             CountingSink(_results));
+}
+
+void
+BerkeleyEngine::accessRecorded(const PreparedSlice &slice, RefOutcome *out)
+{
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             RecordingSink(_results, out, slice.n));
 }
 
 void
@@ -78,33 +95,35 @@ BerkeleyEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+template <typename Sink>
 void
-BerkeleyEngine::handleRead(unsigned unit, BlockState &st)
+BerkeleyEngine::handleRead(Sink &sink, unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
+        sink.event(Event::RdHit);
         return;
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        sink.event(Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // The owner supplies the block cache-to-cache and *keeps*
         // ownership (SharedDirty); memory is not updated.
-        _results.events.record(Event::RmBlkDrty);
+        sink.event(Event::RmBlkDrty);
     } else if (st.holders != 0) {
-        _results.events.record(Event::RmBlkCln);
+        sink.event(Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        sink.event(Event::RmMemory);
     }
     if (popcount(st.holders) == 1)
-        ++_results.holderGrowth12;
+        sink.count(AuxCounter::HolderGrowth12);
     st.holders |= unit_bit;
 }
 
+template <typename Sink>
 void
-BerkeleyEngine::handleWrite(unsigned unit, BlockState &st)
+BerkeleyEngine::handleWrite(Sink &sink, unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     const bool has_copy = (st.holders & unit_bit) != 0;
@@ -113,7 +132,7 @@ BerkeleyEngine::handleWrite(unsigned unit, BlockState &st)
     if (has_copy && st.owner == static_cast<int>(unit) &&
         others == 0) {
         // Dirty (exclusive owned): silent upgrade.
-        _results.events.record(Event::WhBlkDrty);
+        sink.event(Event::WhBlkDrty);
         return;
     }
 
@@ -124,24 +143,29 @@ BerkeleyEngine::handleWrite(unsigned unit, BlockState &st)
         // reference, which keeps the event-frequency equivalence the
         // paper relies on testable.
         const unsigned fanout = popcount(others);
-        _results.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                           : Event::WhBlkClnShared);
-        _results.whClnFanout.sample(fanout);
+        sink.event(fanout == 0 ? Event::WhBlkClnExcl
+                               : Event::WhBlkClnShared);
+        sink.whClnFanout(fanout);
     } else if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::WmFirstRef);
+        sink.event(Event::WmFirstRef);
     } else if (st.owner >= 0) {
         // Owner supplies, everyone else invalidates.
-        _results.events.record(Event::WmBlkDrty);
+        sink.event(Event::WmBlkDrty);
     } else if (st.holders != 0) {
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(popcount(st.holders));
+        sink.event(Event::WmBlkCln);
+        sink.wmClnFanout(popcount(st.holders));
     } else {
-        _results.events.record(Event::WmMemory);
+        sink.event(Event::WmMemory);
     }
 
     st.holders = unit_bit;
     st.owner = static_cast<std::int16_t>(unit);
 }
+
+template void BerkeleyEngine::access(CountingSink &, unsigned,
+                                     trace::RefType, mem::BlockId);
+template void BerkeleyEngine::access(RecordingSink &, unsigned,
+                                     trace::RefType, mem::BlockId);
 
 } // namespace dirsim::coherence

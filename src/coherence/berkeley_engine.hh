@@ -33,8 +33,15 @@ class BerkeleyEngine final : public CoherenceEngine
 
     void access(unsigned unit, trace::RefType type,
                 mem::BlockId block) override;
+    /** access(), reporting to @p sink (CountingSink or
+     *  RecordingSink, coherence/outcome.hh). */
+    template <typename Sink>
+    void access(Sink &sink, unsigned unit, trace::RefType type,
+                mem::BlockId block);
     void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
+    void accessRecorded(const PreparedSlice &slice,
+                        RefOutcome *out) override;
     void recordInstrs(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _nUnits; }
@@ -60,8 +67,10 @@ class BerkeleyEngine final : public CoherenceEngine
         bool referenced = false;
     };
 
-    void handleRead(unsigned unit, BlockState &st);
-    void handleWrite(unsigned unit, BlockState &st);
+    template <typename Sink>
+    void handleRead(Sink &sink, unsigned unit, BlockState &st);
+    template <typename Sink>
+    void handleWrite(Sink &sink, unsigned unit, BlockState &st);
 
     unsigned _nUnits;
     EngineResults _results;

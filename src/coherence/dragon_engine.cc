@@ -24,20 +24,29 @@ DragonEngine::reset()
     _blocks.clear();
 }
 
+template <typename Sink>
 void
-DragonEngine::access(unsigned unit, trace::RefType type,
+DragonEngine::access(Sink &sink, unsigned unit, trace::RefType type,
                      mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
-        _results.events.record(Event::Instr);
+        sink.event(Event::Instr);
         return;
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, st);
+        handleRead(sink, unit, st);
     else
-        handleWrite(unit, st);
+        handleWrite(sink, unit, st);
+}
+
+void
+DragonEngine::access(unsigned unit, trace::RefType type,
+                     mem::BlockId block)
+{
+    CountingSink sink(_results);
+    access(sink, unit, type, block);
 }
 
 void
@@ -51,7 +60,15 @@ DragonEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 void
 DragonEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             CountingSink(_results));
+}
+
+void
+DragonEngine::accessRecorded(const PreparedSlice &slice, RefOutcome *out)
+{
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             RecordingSink(_results, out, slice.n));
 }
 
 void
@@ -60,42 +77,44 @@ DragonEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+template <typename Sink>
 void
-DragonEngine::handleRead(unsigned unit, BlockState &st)
+DragonEngine::handleRead(Sink &sink, unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
+        sink.event(Event::RdHit);
         return;
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        sink.event(Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // Supplied cache-to-cache by the owner; memory stays stale.
-        _results.events.record(Event::RmBlkDrty);
+        sink.event(Event::RmBlkDrty);
     } else if (st.holders != 0) {
-        _results.events.record(Event::RmBlkCln);
+        sink.event(Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        sink.event(Event::RmMemory);
     }
     st.holders |= unit_bit;
 }
 
+template <typename Sink>
 void
-DragonEngine::handleWrite(unsigned unit, BlockState &st)
+DragonEngine::handleWrite(Sink &sink, unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     if (st.holders & unit_bit) {
         if (st.holders == unit_bit) {
-            _results.events.record(Event::WhLocal);
+            sink.event(Event::WhLocal);
         } else {
             // The shared line is pulled: distribute the update.  The
             // fanout histogram records how many remote copies the
             // update must reach (used by the network cost model; on a
             // bus one broadcast reaches them all).
-            _results.events.record(Event::WhDistrib);
-            _results.whClnFanout.sample(static_cast<std::size_t>(
+            sink.event(Event::WhDistrib);
+            sink.whClnFanout(static_cast<unsigned>(
                 __builtin_popcountll(st.holders & ~unit_bit)));
         }
         st.owner = static_cast<std::int16_t>(unit);
@@ -103,20 +122,25 @@ DragonEngine::handleWrite(unsigned unit, BlockState &st)
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::WmFirstRef);
+        sink.event(Event::WmFirstRef);
     } else if (st.owner >= 0) {
-        _results.events.record(Event::WmBlkDrty);
-        _results.wmClnFanout.sample(static_cast<std::size_t>(
+        sink.event(Event::WmBlkDrty);
+        sink.wmClnFanout(static_cast<unsigned>(
             __builtin_popcountll(st.holders)));
     } else if (st.holders != 0) {
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(static_cast<std::size_t>(
+        sink.event(Event::WmBlkCln);
+        sink.wmClnFanout(static_cast<unsigned>(
             __builtin_popcountll(st.holders)));
     } else {
-        _results.events.record(Event::WmMemory);
+        sink.event(Event::WmMemory);
     }
     st.holders |= unit_bit;
     st.owner = static_cast<std::int16_t>(unit);
 }
+
+template void DragonEngine::access(CountingSink &, unsigned,
+                                   trace::RefType, mem::BlockId);
+template void DragonEngine::access(RecordingSink &, unsigned,
+                                   trace::RefType, mem::BlockId);
 
 } // namespace dirsim::coherence

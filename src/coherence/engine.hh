@@ -14,6 +14,9 @@
 #ifndef DIRSIM_COHERENCE_ENGINE_HH
 #define DIRSIM_COHERENCE_ENGINE_HH
 
+#include <stdexcept>
+
+#include "coherence/outcome.hh"
 #include "coherence/results.hh"
 #include "mem/block.hh"
 #include "trace/record.hh"
@@ -92,6 +95,21 @@ class CoherenceEngine
             access(slice.unit[i],
                    trace::packedRefType(slice.typeFlags[i]),
                    slice.block[i]);
+    }
+
+    /**
+     * Process a prepared SoA slice in order, exactly as
+     * accessPrepared(), and report what each reference did: out[i]
+     * receives slice reference i's RefOutcome (coherence/outcome.hh).
+     * The timed bus charges references from these.  Engines with one
+     * EngineResults override it; the default throws std::logic_error.
+     */
+    virtual void
+    accessRecorded(const PreparedSlice & /*slice*/, RefOutcome * /*out*/)
+    {
+        throw std::logic_error("engine '" + results().name +
+                               "' does not report per-reference "
+                               "outcomes");
     }
 
     /**

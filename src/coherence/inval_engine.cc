@@ -97,8 +97,9 @@ InvalEngine::dirtyOwner(mem::BlockId block) const
     return st ? st->owner : -1;
 }
 
+template <typename Sink>
 void
-InvalEngine::fillCache(unsigned unit, mem::BlockId block)
+InvalEngine::fillCache(Sink &sink, unsigned unit, mem::BlockId block)
 {
     if (_caches.empty())
         return;
@@ -115,14 +116,15 @@ InvalEngine::fillCache(unsigned unit, mem::BlockId block)
     victim->holders &= ~(1ULL << unit);
     if (victim->owner == static_cast<int>(unit)) {
         victim->owner = -1;
-        ++_results.replacementWriteBacks;
+        sink.count(AuxCounter::ReplacementWriteBacks);
     }
     if (directory::DirEntry *dir = dirOf(*victim))
         dir->removeSharer(unit);
 }
 
+template <typename Sink>
 void
-InvalEngine::touchDirCache(mem::BlockId block)
+InvalEngine::touchDirCache(Sink &sink, mem::BlockId block)
 {
     if (!_dirCache)
         return;
@@ -141,11 +143,12 @@ InvalEngine::touchDirCache(mem::BlockId block)
     // fillCache).
     BlockState *victim = _blocks.find(touch.victim);
     assert(victim && "dir-cache victim must be tracked");
-    _results.dirCacheEvictionInvals += popcount(victim->holders);
+    sink.count(AuxCounter::DirCacheEvictionInvals,
+               popcount(victim->holders));
     if (victim->owner >= 0) {
         // The sole dirty copy is flushed to memory before it dies.
         victim->owner = -1;
-        ++_results.dirCacheEvictionWriteBacks;
+        sink.count(AuxCounter::DirCacheEvictionWriteBacks);
         if (directory::DirEntry *dir = dirOf(*victim))
             dir->cleanse();
     }
@@ -172,20 +175,29 @@ InvalEngine::invalidateMask(mem::BlockId block, BlockState &st,
     }
 }
 
+template <typename Sink>
 void
-InvalEngine::access(unsigned unit, trace::RefType type,
+InvalEngine::access(Sink &sink, unsigned unit, trace::RefType type,
                     mem::BlockId block)
 {
     assert(unit < _cfg.nUnits);
     if (type == trace::RefType::Instr) {
-        _results.events.record(Event::Instr);
+        sink.event(Event::Instr);
         return;
     }
     BlockState &st = lookup(block);
     if (type == trace::RefType::Read)
-        handleRead(unit, block, st);
+        handleRead(sink, unit, block, st);
     else
-        handleWrite(unit, block, st);
+        handleWrite(sink, unit, block, st);
+}
+
+void
+InvalEngine::access(unsigned unit, trace::RefType type,
+                    mem::BlockId block)
+{
+    CountingSink sink(_results);
+    access(sink, unit, type, block);
 }
 
 void
@@ -199,7 +211,15 @@ InvalEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 void
 InvalEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             CountingSink(_results));
+}
+
+void
+InvalEngine::accessRecorded(const PreparedSlice &slice, RefOutcome *out)
+{
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             RecordingSink(_results, out, slice.n));
 }
 
 void
@@ -208,14 +228,15 @@ InvalEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+template <typename Sink>
 void
-InvalEngine::handleRead(unsigned unit, mem::BlockId block,
+InvalEngine::handleRead(Sink &sink, unsigned unit, mem::BlockId block,
                         BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
 
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
+        sink.event(Event::RdHit);
         if (!_caches.empty())
             _caches[unit]->touch(block); // Refresh LRU.
         return;
@@ -223,30 +244,30 @@ InvalEngine::handleRead(unsigned unit, mem::BlockId block,
 
     // Every miss involves the block's home node (memory + directory).
     recordHomeUse(unit, st, block);
-    touchDirCache(block);
+    touchDirCache(sink, block);
 
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        sink.event(Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // Flush: the ex-owner writes back and keeps a clean copy; the
         // requester snarfs the data.
-        _results.events.record(Event::RmBlkDrty);
+        sink.event(Event::RmBlkDrty);
         st.owner = -1;
         if (directory::DirEntry *dir = dirOf(st))
             dir->cleanse();
     } else if (st.holders != 0) {
-        _results.events.record(Event::RmBlkCln);
+        sink.event(Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        sink.event(Event::RmMemory);
     }
 
     if (popcount(st.holders) == 1)
-        ++_results.holderGrowth12;
+        sink.count(AuxCounter::HolderGrowth12);
     st.holders |= unit_bit;
     if (directory::DirEntry *dir = dirOf(st))
         dir->addSharer(unit);
-    fillCache(unit, block);
+    fillCache(sink, unit, block);
 }
 
 void
@@ -270,15 +291,16 @@ InvalEngine::recordDirActivity(unsigned unit, bool unitHasCopy,
     assert((others & ~targets.mask) == 0);
 }
 
+template <typename Sink>
 void
-InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
+InvalEngine::handleWrite(Sink &sink, unsigned unit, mem::BlockId block,
                          BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     const bool has_copy = (st.holders & unit_bit) != 0;
 
     if (has_copy && st.owner == static_cast<int>(unit)) {
-        _results.events.record(Event::WhBlkDrty);
+        sink.event(Event::WhBlkDrty);
         if (!_caches.empty())
             _caches[unit]->touch(block);
         return;
@@ -286,7 +308,7 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
 
     // Reaching here means a directory transaction: a miss, or a hit
     // to a clean copy whose write permission the directory grants.
-    touchDirCache(block);
+    touchDirCache(sink, block);
 
     if (has_copy) {
         // Write hit to a clean copy.  A dirty copy elsewhere is
@@ -295,9 +317,9 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
         recordHomeUse(unit, st, block);
         const std::uint64_t others = st.holders & ~unit_bit;
         const unsigned fanout = popcount(others);
-        _results.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                           : Event::WhBlkClnShared);
-        _results.whClnFanout.sample(fanout);
+        sink.event(fanout == 0 ? Event::WhBlkClnExcl
+                               : Event::WhBlkClnShared);
+        sink.whClnFanout(fanout);
         recordDirActivity(unit, true, st);
         invalidateMask(block, st, others);
         if (!_caches.empty())
@@ -305,27 +327,27 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
     } else if (!st.referenced) {
         st.referenced = true;
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmFirstRef);
-        fillCache(unit, block);
+        sink.event(Event::WmFirstRef);
+        fillCache(sink, unit, block);
     } else if (st.owner >= 0) {
         // Flush the dirty copy and invalidate it; the requester
         // receives the data.
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmBlkDrty);
+        sink.event(Event::WmBlkDrty);
         recordDirActivity(unit, false, st);
         invalidateMask(block, st, st.holders);
-        fillCache(unit, block);
+        fillCache(sink, unit, block);
     } else if (st.holders != 0) {
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(popcount(st.holders));
+        sink.event(Event::WmBlkCln);
+        sink.wmClnFanout(popcount(st.holders));
         recordDirActivity(unit, false, st);
         invalidateMask(block, st, st.holders);
-        fillCache(unit, block);
+        fillCache(sink, unit, block);
     } else {
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmMemory);
-        fillCache(unit, block);
+        sink.event(Event::WmMemory);
+        fillCache(sink, unit, block);
     }
 
     st.holders = unit_bit;
@@ -333,5 +355,10 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
     if (directory::DirEntry *dir = dirOf(st))
         dir->makeOwner(unit);
 }
+
+template void InvalEngine::access(CountingSink &, unsigned,
+                                  trace::RefType, mem::BlockId);
+template void InvalEngine::access(RecordingSink &, unsigned,
+                                  trace::RefType, mem::BlockId);
 
 } // namespace dirsim::coherence

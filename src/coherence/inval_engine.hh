@@ -69,8 +69,15 @@ class InvalEngine final : public CoherenceEngine
 
     void access(unsigned unit, trace::RefType type,
                 mem::BlockId block) override;
+    /** access(), reporting to @p sink (CountingSink or
+     *  RecordingSink, coherence/outcome.hh). */
+    template <typename Sink>
+    void access(Sink &sink, unsigned unit, trace::RefType type,
+                mem::BlockId block);
     void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
+    void accessRecorded(const PreparedSlice &slice,
+                        RefOutcome *out) override;
     void recordInstrs(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _cfg.nUnits; }
@@ -112,8 +119,12 @@ class InvalEngine final : public CoherenceEngine
                    ? nullptr
                    : &_dirArena.entry(st.dir);
     }
-    void handleRead(unsigned unit, mem::BlockId block, BlockState &st);
-    void handleWrite(unsigned unit, mem::BlockId block, BlockState &st);
+    template <typename Sink>
+    void handleRead(Sink &sink, unsigned unit, mem::BlockId block,
+                    BlockState &st);
+    template <typename Sink>
+    void handleWrite(Sink &sink, unsigned unit, mem::BlockId block,
+                     BlockState &st);
     /** Classify a directory/memory transaction by home locality. */
     void recordHomeUse(unsigned unit, BlockState &st,
                        mem::BlockId block);
@@ -121,7 +132,8 @@ class InvalEngine final : public CoherenceEngine
     void recordDirActivity(unsigned unit, bool unitHasCopy,
                            const BlockState &st);
     /** Install @p block in @p unit's finite cache, evicting as needed. */
-    void fillCache(unsigned unit, mem::BlockId block);
+    template <typename Sink>
+    void fillCache(Sink &sink, unsigned unit, mem::BlockId block);
     /** Remove copies in @p mask (tag stores + holder bits). */
     void invalidateMask(mem::BlockId block, BlockState &st,
                         std::uint64_t mask);
@@ -131,7 +143,8 @@ class InvalEngine final : public CoherenceEngine
      * displaced.  Called on every directory transaction — all misses
      * and write hits to clean blocks — never on pure cache hits.
      */
-    void touchDirCache(mem::BlockId block);
+    template <typename Sink>
+    void touchDirCache(Sink &sink, mem::BlockId block);
 
     InvalEngineConfig _cfg;
     EngineResults _results;

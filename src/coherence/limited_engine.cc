@@ -44,20 +44,29 @@ LimitedEngine::reset()
         _dirCache->clear();
 }
 
+template <typename Sink>
 void
-LimitedEngine::access(unsigned unit, trace::RefType type,
+LimitedEngine::access(Sink &sink, unsigned unit, trace::RefType type,
                       mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
-        _results.events.record(Event::Instr);
+        sink.event(Event::Instr);
         return;
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, block, st);
+        handleRead(sink, unit, block, st);
     else
-        handleWrite(unit, block, st);
+        handleWrite(sink, unit, block, st);
+}
+
+void
+LimitedEngine::access(unsigned unit, trace::RefType type,
+                      mem::BlockId block)
+{
+    CountingSink sink(_results);
+    access(sink, unit, type, block);
 }
 
 void
@@ -71,7 +80,16 @@ LimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 void
 LimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             CountingSink(_results));
+}
+
+void
+LimitedEngine::accessRecorded(const PreparedSlice &slice,
+                              RefOutcome *out)
+{
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             RecordingSink(_results, out, slice.n));
 }
 
 void
@@ -80,8 +98,9 @@ LimitedEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+template <typename Sink>
 void
-LimitedEngine::touchDirCache(mem::BlockId block)
+LimitedEngine::touchDirCache(Sink &sink, mem::BlockId block)
 {
     if (!_dirCache)
         return;
@@ -98,38 +117,46 @@ LimitedEngine::touchDirCache(mem::BlockId block)
     // the current block across this call.
     BlockState *victim = _blocks.find(touch.victim);
     assert(victim && "dir-cache victim must be tracked");
-    _results.dirCacheEvictionInvals += std::popcount(victim->mask);
+    sink.count(AuxCounter::DirCacheEvictionInvals,
+               static_cast<std::uint32_t>(std::popcount(victim->mask)));
     if (victim->owner >= 0) {
         // The sole dirty copy is flushed to memory before it dies.
         victim->owner = -1;
-        ++_results.dirCacheEvictionWriteBacks;
+        sink.count(AuxCounter::DirCacheEvictionWriteBacks);
     }
     victim->mask = 0;
     victim->fillq = 0;
 }
 
+template <typename Sink>
 void
-LimitedEngine::handleRead(unsigned unit, mem::BlockId block,
+LimitedEngine::handleRead(Sink &sink, unsigned unit, mem::BlockId block,
                           BlockState &st)
 {
     // The transition core lives in limited_policy.hh, shared with
     // MultiLimitedEngine; only the directory-cache touch between the
     // hit test and the miss service is this engine's own.
-    if (laneReadHit(st, unit, _results))
+    if (laneReadHit(st, unit, sink))
         return;
-    touchDirCache(block);
-    laneReadMiss(st, unit, _nPointers, _results);
+    touchDirCache(sink, block);
+    laneReadMiss(st, unit, _nPointers, sink);
 }
 
+template <typename Sink>
 void
-LimitedEngine::handleWrite(unsigned unit, mem::BlockId block,
-                           BlockState &st)
+LimitedEngine::handleWrite(Sink &sink, unsigned unit,
+                           mem::BlockId block, BlockState &st)
 {
-    if (laneWriteDirtyHit(st, unit, _results))
+    if (laneWriteDirtyHit(st, unit, sink))
         return;
     // A miss, or a hit to a clean copy: the directory is consulted.
-    touchDirCache(block);
-    laneWrite(st, unit, _results);
+    touchDirCache(sink, block);
+    laneWrite(st, unit, sink);
 }
+
+template void LimitedEngine::access(CountingSink &, unsigned,
+                                    trace::RefType, mem::BlockId);
+template void LimitedEngine::access(RecordingSink &, unsigned,
+                                    trace::RefType, mem::BlockId);
 
 } // namespace dirsim::coherence

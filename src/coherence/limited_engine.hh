@@ -48,8 +48,15 @@ class LimitedEngine final : public CoherenceEngine
 
     void access(unsigned unit, trace::RefType type,
                 mem::BlockId block) override;
+    /** access(), reporting to @p sink (CountingSink or
+     *  RecordingSink, coherence/outcome.hh). */
+    template <typename Sink>
+    void access(Sink &sink, unsigned unit, trace::RefType type,
+                mem::BlockId block);
     void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
+    void accessRecorded(const PreparedSlice &slice,
+                        RefOutcome *out) override;
     void recordInstrs(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _nUnits; }
@@ -81,12 +88,16 @@ class LimitedEngine final : public CoherenceEngine
      */
     using BlockState = LimitedLane;
 
-    void handleRead(unsigned unit, mem::BlockId block, BlockState &st);
-    void handleWrite(unsigned unit, mem::BlockId block,
+    template <typename Sink>
+    void handleRead(Sink &sink, unsigned unit, mem::BlockId block,
+                    BlockState &st);
+    template <typename Sink>
+    void handleWrite(Sink &sink, unsigned unit, mem::BlockId block,
                      BlockState &st);
     /** Directory-cache lookup on a directory transaction; evicting a
      *  resident entry force-invalidates the victim's copies. */
-    void touchDirCache(mem::BlockId block);
+    template <typename Sink>
+    void touchDirCache(Sink &sink, mem::BlockId block);
 
     unsigned _nUnits;
     unsigned _nPointers;

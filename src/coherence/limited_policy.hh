@@ -17,12 +17,16 @@
  * directory-cache touch between the hit test and the miss service,
  * and hits must not touch the directory):
  *
- *   read:   if (laneReadHit(lane, unit, r)) return;      // no state
+ *   read:   if (laneReadHit(lane, unit, sink)) return;  // no state
  *           <directory transaction bookkeeping>
- *           laneReadMiss(lane, unit, nPointers, r);
- *   write:  if (laneWriteDirtyHit(lane, unit, r)) return; // no state
+ *           laneReadMiss(lane, unit, nPointers, sink);
+ *   write:  if (laneWriteDirtyHit(lane, unit, sink)) return;
  *           <directory transaction bookkeeping>
- *           laneWrite(lane, unit, r);
+ *           laneWrite(lane, unit, sink);
+ *
+ * Each function reports to an outcome sink (coherence/outcome.hh):
+ * CountingSink over the lane's EngineResults, or RecordingSink when
+ * the timed bus needs the reference's outcome.
  *
  * Semantics (paper Sections 3-4): at most nPointers caches hold a
  * block; an (nPointers+1)-th read miss displaces the oldest holder
@@ -38,7 +42,7 @@
 #include <cassert>
 #include <cstdint>
 
-#include "coherence/results.hh"
+#include "coherence/outcome.hh"
 
 namespace dirsim::coherence
 {
@@ -75,12 +79,13 @@ laneHolds(std::uint64_t mask, unsigned unit)
  * Read-hit test: records RdHit and returns true when @p unit already
  * holds a copy (no state change, no directory transaction).
  */
+template <typename Sink>
 inline bool
-laneReadHit(const LimitedLane &st, unsigned unit, EngineResults &r)
+laneReadHit(const LimitedLane &st, unsigned unit, Sink &sink)
 {
     if (!laneHolds(st.mask, unit))
         return false;
-    r.events.record(Event::RdHit);
+    sink.event(Event::RdHit);
     return true;
 }
 
@@ -90,14 +95,14 @@ laneReadHit(const LimitedLane &st, unsigned unit, EngineResults &r)
  * transaction).  A hit to a *clean* copy is not silent — it needs
  * the directory, so it falls through to laneWrite().
  */
+template <typename Sink>
 inline bool
-laneWriteDirtyHit(const LimitedLane &st, unsigned unit,
-                  EngineResults &r)
+laneWriteDirtyHit(const LimitedLane &st, unsigned unit, Sink &sink)
 {
     if (!(laneHolds(st.mask, unit) &&
           st.owner == static_cast<int>(unit)))
         return false;
-    r.events.record(Event::WhBlkDrty);
+    sink.event(Event::WhBlkDrty);
     return true;
 }
 
@@ -107,17 +112,18 @@ laneWriteDirtyHit(const LimitedLane &st, unsigned unit,
  * holder if all @p nPointers pointers are in use, and install the new
  * copy at the back of the fill queue.
  */
+template <typename Sink>
 inline void
 laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
-             EngineResults &r)
+             Sink &sink)
 {
     if (!st.referenced) {
         st.referenced = true;
-        r.events.record(Event::RmFirstRef);
+        sink.event(Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // Write back; with a single pointer the ex-owner is also
         // invalidated, otherwise it keeps a clean copy.
-        r.events.record(Event::RmBlkDrty);
+        sink.event(Event::RmBlkDrty);
         st.owner = -1;
         if (nPointers == 1) {
             st.mask = 0;
@@ -126,21 +132,21 @@ laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
             // the miss service, not an extra displacement.
         }
     } else if (st.mask != 0) {
-        r.events.record(Event::RmBlkCln);
+        sink.event(Event::RmBlkCln);
     } else {
-        r.events.record(Event::RmMemory);
+        sink.event(Event::RmMemory);
     }
 
     unsigned nHolders = std::popcount(st.mask);
     if (nHolders == 1)
-        ++r.holderGrowth12;
+        sink.count(AuxCounter::HolderGrowth12);
     if (nHolders == nPointers) {
         // Displace the oldest holder (the queue's low byte) to free
         // a pointer for the new copy.
         st.mask &= ~(std::uint64_t(1) << (st.fillq & 0xff));
         st.fillq >>= 8;
         --nHolders;
-        ++r.displacementInvals;
+        sink.count(AuxCounter::DisplacementInvals);
     }
     st.mask |= std::uint64_t(1) << unit;
     st.fillq |= std::uint64_t(unit) << (8 * nHolders);
@@ -151,28 +157,29 @@ laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
  * clean copy): classify it, invalidate every other copy and make
  * @p unit the sole dirty owner.
  */
+template <typename Sink>
 inline void
-laneWrite(LimitedLane &st, unsigned unit, EngineResults &r)
+laneWrite(LimitedLane &st, unsigned unit, Sink &sink)
 {
     if (laneHolds(st.mask, unit)) {
         // Hit to a clean copy (a dirty hit never reaches here).
         assert(st.owner < 0);
         const unsigned fanout =
             static_cast<unsigned>(std::popcount(st.mask)) - 1u;
-        r.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                    : Event::WhBlkClnShared);
-        r.whClnFanout.sample(fanout);
+        sink.event(fanout == 0 ? Event::WhBlkClnExcl
+                               : Event::WhBlkClnShared);
+        sink.whClnFanout(fanout);
     } else if (!st.referenced) {
         st.referenced = true;
-        r.events.record(Event::WmFirstRef);
+        sink.event(Event::WmFirstRef);
     } else if (st.owner >= 0) {
-        r.events.record(Event::WmBlkDrty);
+        sink.event(Event::WmBlkDrty);
     } else if (st.mask != 0) {
-        r.events.record(Event::WmBlkCln);
-        r.wmClnFanout.sample(
+        sink.event(Event::WmBlkCln);
+        sink.wmClnFanout(
             static_cast<unsigned>(std::popcount(st.mask)));
     } else {
-        r.events.record(Event::WmMemory);
+        sink.event(Event::WmMemory);
     }
 
     st.mask = std::uint64_t(1) << unit;

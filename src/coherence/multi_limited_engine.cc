@@ -102,7 +102,8 @@ MultiLimitedEngine::handleRead(unsigned unit, std::uint32_t entry)
         }
         LimitedLane lane{masks[l], fillqs[l], owners[l],
                          referenced[l] != 0};
-        laneReadMiss(lane, unit, _pointers[l], _results[l]);
+        CountingSink sink(_results[l]);
+        laneReadMiss(lane, unit, _pointers[l], sink);
         masks[l] = lane.mask;
         fillqs[l] = lane.fillq;
         owners[l] = lane.owner;
@@ -126,7 +127,8 @@ MultiLimitedEngine::handleWrite(unsigned unit, std::uint32_t entry)
         }
         LimitedLane lane{masks[l], fillqs[l], owners[l],
                          referenced[l] != 0};
-        laneWrite(lane, unit, _results[l]);
+        CountingSink sink(_results[l]);
+        laneWrite(lane, unit, sink);
         masks[l] = lane.mask;
         fillqs[l] = lane.fillq;
         owners[l] = lane.owner;
@@ -163,7 +165,11 @@ MultiLimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 void
 MultiLimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedDispatch(_blocks, slice,
+                       [this](unsigned unit, trace::RefType type,
+                              mem::BlockId block) {
+                           access(unit, type, block);
+                       });
 }
 
 void

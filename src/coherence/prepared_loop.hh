@@ -38,6 +38,7 @@
 #include <cstdint>
 
 #include "coherence/engine.hh"
+#include "coherence/outcome.hh"
 #include "trace/record.hh"
 #include "util/simd.hh"
 
@@ -106,39 +107,67 @@ forEachPreparedRef(const PreparedSlice &slice, AccessFn &&access)
 }
 
 /**
- * The whole accessPrepared body every block-table engine shares:
- * strip-mined dispatch into @p engine .access(), with the probe
- * prefetch enabled iff @p blocks (the engine's per-block FlatMap) has
- * outgrown the cache (util::FlatMap::prefetchProfitable()).  The
- * prefetch-or-not branch is hoisted out of the loop here, once, so
- * every engine's override is a single call:
- *
- *   void Engine::accessPrepared(const PreparedSlice &slice)
- *   {
- *       stripMinedAccessPrepared(*this, _blocks, slice);
- *   }
- *
- * The engine classes are final, so the access() call devirtualises
- * and inlines into the strip loop.
+ * Strip-mined dispatch of @p slice into @p access (unit, type,
+ * block), with the probe prefetch enabled iff @p blocks (the engine's
+ * per-block FlatMap) has outgrown the cache
+ * (util::FlatMap::prefetchProfitable()).  The prefetch-or-not branch
+ * is hoisted out of the loop here, once.
  */
-template <typename Engine, typename BlockTable>
+template <typename BlockTable, typename AccessFn>
 inline void
-stripMinedAccessPrepared(Engine &engine, BlockTable &blocks,
-                         const PreparedSlice &slice)
+stripMinedDispatch(BlockTable &blocks, const PreparedSlice &slice,
+                   AccessFn &&access)
 {
-    const auto dispatch =
-        [&engine](unsigned unit, trace::RefType type,
-                  mem::BlockId block) {
-            engine.access(unit, type, block);
-        };
     if (blocks.prefetchProfitable()) {
         forEachPreparedRef(
             slice,
             [&blocks](mem::BlockId block) { blocks.prefetch(block); },
-            dispatch);
+            access);
     } else {
-        forEachPreparedRef(slice, dispatch);
+        forEachPreparedRef(slice, access);
     }
+}
+
+/**
+ * The whole accessPrepared body every block-table engine shares:
+ * stripMinedDispatch() into @p engine .access(sink, ...), reporting
+ * each reference's outcome to @p sink (coherence/outcome.hh) and
+ * retiring it.  Every engine's override is a single call:
+ *
+ *   void Engine::accessPrepared(const PreparedSlice &slice)
+ *   {
+ *       stripMinedAccessPrepared(*this, _blocks, slice,
+ *                                CountingSink(_results));
+ *   }
+ *
+ * The engine classes are final and the sink is a template parameter,
+ * so the access body devirtualises and inlines into the strip loop;
+ * with CountingSink it is the plain counter updates.  A slice shorter
+ * than the prefetch distance (a timed-bus wave: one reference per
+ * ready CPU) skips the strip machinery, whose type decode and
+ * prefetch decision would cost more than they save.
+ */
+template <typename Engine, typename BlockTable, typename Sink>
+inline void
+stripMinedAccessPrepared(Engine &engine, BlockTable &blocks,
+                         const PreparedSlice &slice, Sink sink)
+{
+    if (slice.n < util::kPrefetchDistance) {
+        for (std::size_t i = 0; i < slice.n; ++i) {
+            engine.access(sink, slice.unit[i],
+                          trace::packedRefType(slice.typeFlags[i]),
+                          slice.block[i]);
+            sink.retire();
+        }
+        return;
+    }
+    stripMinedDispatch(blocks, slice,
+                       [&engine, &sink](unsigned unit,
+                                        trace::RefType type,
+                                        mem::BlockId block) {
+                           engine.access(sink, unit, type, block);
+                           sink.retire();
+                       });
 }
 
 } // namespace dirsim::coherence

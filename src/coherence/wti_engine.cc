@@ -36,20 +36,29 @@ WtiEngine::reset()
     _blocks.clear();
 }
 
+template <typename Sink>
 void
-WtiEngine::access(unsigned unit, trace::RefType type,
+WtiEngine::access(Sink &sink, unsigned unit, trace::RefType type,
                   mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
-        _results.events.record(Event::Instr);
+        sink.event(Event::Instr);
         return;
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, st);
+        handleRead(sink, unit, st);
     else
-        handleWrite(unit, st);
+        handleWrite(sink, unit, st);
+}
+
+void
+WtiEngine::access(unsigned unit, trace::RefType type,
+                  mem::BlockId block)
+{
+    CountingSink sink(_results);
+    access(sink, unit, type, block);
 }
 
 void
@@ -63,7 +72,15 @@ WtiEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 void
 WtiEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             CountingSink(_results));
+}
+
+void
+WtiEngine::accessRecorded(const PreparedSlice &slice, RefOutcome *out)
+{
+    stripMinedAccessPrepared(*this, _blocks, slice,
+                             RecordingSink(_results, out, slice.n));
 }
 
 void
@@ -72,31 +89,33 @@ WtiEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+template <typename Sink>
 void
-WtiEngine::handleRead(unsigned unit, BlockState &st)
+WtiEngine::handleRead(Sink &sink, unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
+        sink.event(Event::RdHit);
         return;
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        sink.event(Event::RmFirstRef);
     } else if (st.holders != 0) {
         // Copies are never dirty under write-through, so any cached
         // copy is clean and memory is current.
-        _results.events.record(Event::RmBlkCln);
+        sink.event(Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        sink.event(Event::RmMemory);
     }
     if (popcount(st.holders) == 1)
-        ++_results.holderGrowth12;
+        sink.count(AuxCounter::HolderGrowth12);
     st.holders |= unit_bit;
 }
 
+template <typename Sink>
 void
-WtiEngine::handleWrite(unsigned unit, BlockState &st)
+WtiEngine::handleWrite(Sink &sink, unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     const bool has_copy = (st.holders & unit_bit) != 0;
@@ -105,25 +124,30 @@ WtiEngine::handleWrite(unsigned unit, BlockState &st)
     if (has_copy) {
         // The write-through is snooped; other copies invalidate.
         const unsigned fanout = popcount(others);
-        _results.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                           : Event::WhBlkClnShared);
-        _results.whClnFanout.sample(fanout);
+        sink.event(fanout == 0 ? Event::WhBlkClnExcl
+                               : Event::WhBlkClnShared);
+        sink.whClnFanout(fanout);
         st.holders = unit_bit;
         return;
     }
 
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::WmFirstRef);
+        sink.event(Event::WmFirstRef);
     } else if (st.holders != 0) {
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(popcount(st.holders));
+        sink.event(Event::WmBlkCln);
+        sink.wmClnFanout(popcount(st.holders));
     } else {
-        _results.events.record(Event::WmMemory);
+        sink.event(Event::WmMemory);
     }
     // Other copies are invalidated by the snooped write-through
     // whether or not the writer allocates the block.
     st.holders = _allocate ? unit_bit : 0;
 }
+
+template void WtiEngine::access(CountingSink &, unsigned,
+                                trace::RefType, mem::BlockId);
+template void WtiEngine::access(RecordingSink &, unsigned,
+                                trace::RefType, mem::BlockId);
 
 } // namespace dirsim::coherence

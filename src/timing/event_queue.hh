@@ -21,11 +21,17 @@
  *    while the bus completion may lie arbitrarily far ahead.
  * So CycleCalendar keeps the completion as one scalar and the CPU
  * wake-ups in a power-of-two ring of per-cycle bitmasks, one bit per
- * CPU, covering [now, now + horizon].  Popping the lowest set bit of
+ * CPU, covering [now, now + horizon].  Taking the lowest set bit of
  * the current cycle's mask yields the CPUs in index order; a CPU
  * re-armed for the current cycle sets its bit again and so is
  * delivered in that same cycle, in index order among the CPUs still
  * waiting there.
+ *
+ * TimedBusSim consumes a cycle in waves rather than one CPU at a
+ * time: takeWave() hands over the whole mask of ready CPUs (or, when
+ * re-arms can land in the current cycle, just its lowest CPU, which
+ * keeps the order above), and scheduleMask() re-arms every CPU of a
+ * wave that retired a bus-free reference with one OR per mask word.
  */
 
 #ifndef DIRSIM_TIMING_EVENT_QUEUE_HH
@@ -45,9 +51,9 @@ namespace dirsim::timing
  *
  * Drive it one cycle at a time: advance() moves the clock to the next
  * cycle holding an event, takeBusCompletion() consumes that cycle's
- * completion (if any), and popCpu() then yields its ready CPUs until
- * none is left.  Anything scheduled for the current cycle meanwhile is
- * delivered before advance() moves on.
+ * completion (if any), and takeWave() then yields its ready CPUs
+ * until none is left.  Anything scheduled for the current cycle
+ * meanwhile is delivered before advance() moves on.
  */
 class CycleCalendar
 {
@@ -82,7 +88,21 @@ class CycleCalendar
         const std::uint64_t bit = std::uint64_t(1) << (cpu % 64);
         assert(cpu / 64 < _words && !(word & bit));
         word |= bit;
-        ++_pendingCpus;
+    }
+
+    /** Wake every CPU set in @p mask (maskWords() words, one bit per
+     *  CPU) at cycle @p time, within [now, now + horizon], and clear
+     *  @p mask.  None of them may have a wake-up pending. */
+    void
+    scheduleMask(std::uint64_t time, std::uint64_t *mask)
+    {
+        assert(time >= _now && time - _now <= _horizon);
+        std::uint64_t *words = slot(time);
+        for (unsigned w = 0; w < _words; ++w) {
+            assert(!(words[w] & mask[w]));
+            words[w] |= mask[w];
+            mask[w] = 0;
+        }
     }
 
     /** Complete the bus tenure at cycle @p time (at or after now).
@@ -103,18 +123,20 @@ class CycleCalendar
     bool
     advance()
     {
-        if (_pendingCpus == 0) {
-            if (!_busPending)
-                return false;
-            _now = _busTime;
-            return true;
+        // Every pending wake-up lies in [now, now + horizon], so
+        // finding none there means no CPU is pending at all.
+        std::uint64_t last = _now + _horizon;
+        if (_busPending && _busTime < last)
+            last = _busTime;
+        for (std::uint64_t t = _now; t <= last; ++t) {
+            if (!slotEmpty(t)) {
+                _now = t;
+                return true;
+            }
         }
-        // Some mask in [now, now + horizon] is non-empty, so the scan
-        // stops within the horizon (or at an earlier completion).
-        std::uint64_t t = _now;
-        while (!(_busPending && t == _busTime) && slotEmpty(t))
-            ++t;
-        _now = t;
+        if (!_busPending)
+            return false;
+        _now = _busTime;
         return true;
     }
 
@@ -128,21 +150,35 @@ class CycleCalendar
         return true;
     }
 
-    /** Consume the lowest-index CPU due this cycle, if there is one. */
+    /**
+     * Consume a wave of the CPUs due this cycle into @p wave
+     * (maskWords() words, one bit per CPU): every one of them, or
+     * with @p lowestOnly only the lowest-index one.
+     * @retval false No CPU is due this cycle; @p wave is untouched.
+     */
     bool
-    popCpu(unsigned &cpu)
+    takeWave(std::uint64_t *wave, bool lowestOnly)
     {
         std::uint64_t *words = slot(_now);
-        for (unsigned w = 0; w < _words; ++w) {
-            if (words[w] != 0) {
-                cpu = w * 64 + unsigned(std::countr_zero(words[w]));
-                words[w] &= words[w] - 1;
-                --_pendingCpus;
-                return true;
-            }
+        unsigned w = 0;
+        while (w < _words && words[w] == 0)
+            ++w;
+        if (w == _words)
+            return false;
+        for (unsigned v = 0; v < _words; ++v) {
+            // Below w every word is empty.
+            const std::uint64_t take =
+                lowestOnly && v != w ? 0
+                : lowestOnly         ? words[v] & -words[v]
+                                     : words[v];
+            wave[v] = take;
+            words[v] &= ~take;
         }
-        return false;
+        return true;
     }
+
+    /** 64-bit words per CPU mask (scheduleMask(), takeWave()). */
+    unsigned maskWords() const { return _words; }
 
   private:
     std::uint64_t *
@@ -166,7 +202,6 @@ class CycleCalendar
     std::uint64_t _horizon;
     std::vector<std::uint64_t> _bits;
     std::uint64_t _now = 0;
-    std::uint64_t _pendingCpus = 0;
     bool _busPending = false;
     std::uint64_t _busTime = 0;
 };

@@ -55,12 +55,13 @@ struct CpuTimedStats
     bool operator==(const CpuTimedStats &other) const = default;
 };
 
-/** One pre-classified reference of a port's stream. */
+/** One reference of a port's stream, as its prepared columns hold
+ *  it (one row of a coherence::PreparedSlice). */
 struct PortRef
 {
-    unsigned unit;       //!< Engine sharing-domain index.
-    trace::RefType type;
-    mem::BlockId block;
+    std::uint32_t block;
+    std::uint8_t unit;      //!< Engine sharing-domain index.
+    std::uint8_t typeFlags; //!< Decode with trace::packedRefType.
 };
 
 /**
@@ -98,9 +99,13 @@ class RequestPort
         assert(_next < _span.n);
         ++_stats.refs;
         const std::size_t i = _next++;
-        return PortRef{_span.unit[i],
-                       trace::packedRefType(_span.typeFlags[i]),
-                       _span.block[i]};
+        // The DES walks every CPU's columns at once, more streams than
+        // the hardware prefetcher follows; ask for the next lines.
+        __builtin_prefetch(_span.block + i + 16);
+        __builtin_prefetch(_span.unit + i + 64);
+        __builtin_prefetch(_span.typeFlags + i + 64);
+        return PortRef{_span.block[i], _span.unit[i],
+                       _span.typeFlags[i]};
     }
 
     /**

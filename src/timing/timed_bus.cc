@@ -1,6 +1,7 @@
 #include "timing/timed_bus.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -228,7 +229,8 @@ TimedRun
 TimedBusSim::runPorts(std::vector<RequestPort> &ports)
 {
     // Validates the cost options before anything runs.
-    TransactionModel model(_cfg.scheme, _cfg.bus.costs, _cfg.costOpts);
+    const TransactionModel model(_cfg.scheme, _cfg.bus.costs,
+                                 _cfg.costOpts);
     _engine->reset();
     if (_cfg.sim.expectedBlocks != 0)
         _engine->reserveBlocks(_cfg.sim.expectedBlocks);
@@ -254,6 +256,39 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
     unsigned busHolder = 0;
     bool busUsesMemory = false;
     std::uint64_t reqSeq = 0;
+
+    // One wave's working set: its CPUs; the data references it
+    // executes, as one SoA slice in CPU order, with their outcomes;
+    // the CPUs to visit again once the engine has run, in CPU order
+    // (cpu * 2 + 1 for one that ran a slice reference, cpu * 2 for
+    // one with a tenure to issue); and the CPUs that retire a
+    // bus-free reference, to re-arm as one mask.  The loop works on
+    // raw pointers into these: the byte columns may alias anything,
+    // and would force a reload of every vector's data pointer after
+    // each store.
+    const unsigned words = calendar.maskWords();
+    std::vector<std::uint64_t> masks(2 * words, 0);
+    std::vector<std::uint32_t> blocks(nCpus);
+    std::vector<std::uint8_t> bytes(2 * nCpus);
+    std::vector<coherence::RefOutcome> outcomeStore(nCpus);
+    std::vector<unsigned> visitStore(nCpus);
+    std::uint64_t *const wave = masks.data();
+    std::uint64_t *const carry = wave + words;
+    std::uint32_t *const waveBlock = blocks.data();
+    std::uint8_t *const waveUnit = bytes.data();
+    std::uint8_t *const waveTypeFlags = waveUnit + nCpus;
+    coherence::RefOutcome *const outcomes = outcomeStore.data();
+    unsigned *const visits = visitStore.data();
+    RequestPort *const port0 = ports.data();
+    // With cyclesPerRef 0 a bus-free CPU re-arms for the current
+    // cycle and runs again before any higher-index CPU still waiting
+    // there, so each wave is one CPU.
+    const bool oneCpuWaves = _cfg.cyclesPerRef == 0;
+    // Instruction fetches change no engine state (see
+    // CoherenceEngine::recordInstrs), so when they cost no bus they
+    // bypass the engine and are counted in bulk.
+    std::uint64_t instrs = 0;
+    const bool instrsBusFree = model.busFree(coherence::RefOutcome{});
 
     // Push the next tenure of @p port's in-flight charge into the
     // arbitration queue; the grant phase at the end of the current
@@ -286,28 +321,71 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
             calendar.scheduleCpu(done, busHolder);
         }
 
-        unsigned cpu;
-        while (calendar.popCpu(cpu)) {
-            RequestPort &port = ports[cpu];
-            // Either issue the next tenure of a stalled reference, or
-            // execute the next reference.
-            if (port.hasPendingTxn()) {
-                issue(port, now);
-                continue;
+        while (calendar.takeWave(wave, oneCpuWaves)) {
+            // Take each ready CPU's next reference and run the wave's
+            // data references through the engine in one call.
+            std::size_t n = 0, nVisits = 0;
+            for (unsigned w = 0; w < words; ++w) {
+                for (std::uint64_t bits = wave[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const unsigned cpu =
+                        w * 64 + unsigned(std::countr_zero(bits));
+                    RequestPort &port = port0[cpu];
+                    if (port.hasPendingTxn()) {
+                        visits[nVisits++] = cpu * 2;
+                        continue;
+                    }
+                    if (!port.hasMoreRefs()) {
+                        port.finish(now);
+                        continue;
+                    }
+                    // Fetches and data references interleave at
+                    // random, so this split is branch-free: the
+                    // reference is always written to the slice, and
+                    // kept only if it is not a bypassing fetch.
+                    const PortRef ref = port.takeRef();
+                    const bool bypass =
+                        instrsBusFree &&
+                        trace::packedRefType(ref.typeFlags) ==
+                            trace::RefType::Instr;
+                    waveBlock[n] = ref.block;
+                    waveUnit[n] = ref.unit;
+                    waveTypeFlags[n] = ref.typeFlags;
+                    visits[nVisits] = cpu * 2 + 1;
+                    n += !bypass;
+                    nVisits += !bypass;
+                    instrs += bypass;
+                    carry[w] |= std::uint64_t(bypass) << (cpu % 64);
+                }
             }
-            if (!port.hasMoreRefs()) {
-                port.finish(now);
-                continue;
+            if (n != 0)
+                _engine->accessRecorded(
+                    coherence::PreparedSlice{waveBlock, waveUnit,
+                                             waveTypeFlags, n},
+                    outcomes);
+
+            // Then, in CPU order, charge each reference just run, or
+            // issue a stalled reference's next tenure.
+            const coherence::RefOutcome *outcome = outcomes;
+            for (std::size_t v = 0; v < nVisits; ++v) {
+                const unsigned cpu = visits[v] / 2;
+                RequestPort &port = port0[cpu];
+                if (visits[v] % 2 == 0) {
+                    issue(port, now);
+                    continue;
+                }
+                const coherence::RefOutcome &done = *outcome++;
+                if (!model.busFree(done)) {
+                    const RefCharge charge = model.charge(done);
+                    if (!charge.empty()) {
+                        port.beginStall(charge, now);
+                        issue(port, now);
+                        continue;
+                    }
+                }
+                carry[cpu / 64] |= std::uint64_t(1) << (cpu % 64);
             }
-            const PortRef ref = port.takeRef();
-            _engine->access(ref.unit, ref.type, ref.block);
-            const RefCharge charge = model.charge(_engine->results());
-            if (charge.empty()) {
-                calendar.scheduleCpu(now + _cfg.cyclesPerRef, cpu);
-                continue;
-            }
-            port.beginStall(charge, now);
-            issue(port, now);
+            calendar.scheduleMask(now + _cfg.cyclesPerRef, carry);
         }
 
         if (!busBusy && !waiters.empty()) {
@@ -329,13 +407,27 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
     }
     assert(waiters.empty());
 
+    _engine->recordInstrs(instrs);
+
+    std::uint64_t cpuTransactions = 0;
     for (const RequestPort &port : ports) {
         const CpuTimedStats &stats = port.stats();
         result.refs += stats.refs;
         result.makespan = std::max(result.makespan, stats.finishCycle);
+        cpuTransactions += stats.transactions;
         result.cpus.push_back(stats);
     }
     result.engine = _engine->results();
+
+    // The run's invariants: the bus was busy for exactly the static
+    // aggregate of this run's engine statistics, every reference was
+    // one engine access, and every granted tenure was a CPU's.
+    assert(result.busBusyCycles ==
+           staticBusCycles(_cfg.scheme, result.engine, _cfg.bus.costs,
+                           _cfg.costOpts));
+    assert(result.refs == result.engine.events.totalRefs());
+    assert(cpuTransactions == result.transactions);
+    (void)cpuTransactions;
     return result;
 }
 

@@ -24,6 +24,20 @@
  *    Table 1 BusPrimitives; on the pipelined bus the memory wait is
  *    off-bus and only delays the requester.
  *
+ * Execution: each cycle's ready CPUs form a wave (event_queue.hh).
+ * Their next data references go to the engine as one small SoA slice
+ * in one CoherenceEngine::accessRecorded() call, which reports each
+ * reference's outcome (event, fanout k, aux-counter deltas); the
+ * TransactionModel charges the outcome directly, and the ~90% of
+ * references that use no bus are recognised from it with one byte
+ * test.  Instruction fetches that cost no bus skip the engine and are
+ * counted in bulk (CoherenceEngine::recordInstrs).  Engine accesses
+ * and bus requests happen in exactly the order of one CPU at a time,
+ * so results do not depend on the batching.  In Debug builds every
+ * run checks that bus-busy cycles equal staticBusCycles() of its own
+ * engine statistics, that every reference was one engine access, and
+ * that the per-CPU transactions sum to the run's.
+ *
  * Zero-contention anchor: with one CPU the bus is always free at
  * request time, so total bus-busy cycles equal the static cost
  * model's total exactly (integer for integer; tests/timing_test.cc
@@ -31,7 +45,9 @@
  * subsystem degenerates to the paper's published Table 5 accounting.
  * Both sides read one table, so that test proves the per-reference
  * dispatch sums to the aggregate; tests/cost_table_test.cc checks the
- * table itself against an independent hand-written oracle.
+ * table itself against an independent hand-written oracle, and
+ * tests/timing_test.cc holds each reference's charge to one recovered
+ * by diffing EngineResults across a single access().
  */
 
 #ifndef DIRSIM_TIMING_TIMED_BUS_HH
@@ -131,8 +147,9 @@ struct TimedRun
 /**
  * Runs one (scheme, bus, discipline) configuration over a reference
  * stream.  The engine must match sim::engineKindFor(cfg.scheme),
- * exactly as with sim::computeCost, and its unit count must cover
- * the stream's sharing units (std::runtime_error otherwise).  The
+ * exactly as with sim::computeCost, must report per-reference
+ * outcomes (CoherenceEngine::accessRecorded), and its unit count must
+ * cover the stream's sharing units (std::runtime_error otherwise).  The
  * constructor throws std::invalid_argument for a null engine or a
  * wake-up horizon (cfg.cyclesPerRef, cfg.bus.memExtraLatency) beyond
  * CycleCalendar::maxHorizon.

@@ -41,12 +41,9 @@ TransactionModel::TransactionModel(sim::Scheme scheme,
     const sim::ChargeTable &table = sim::chargeTable(scheme, _nPointers);
     for (std::size_t e = 0; e < coherence::numEvents; ++e) {
         Row &row = _rows[e];
-        const sim::Fanout fanout = sim::fanoutOf(static_cast<Event>(e));
-        row.fanout = fanout == nullptr                       ? 0
-                     : fanout == &EngineResults::whClnFanout ? 1
-                                                             : 2;
+        row.fanout = sim::fanoutOf(static_cast<Event>(e)) != nullptr;
         for (const sim::Tenure &terms : table.events[e]) {
-            ResolvedTenure &tenure = row.tenures.at(row.count++);
+            ResolvedTenure tenure;
             for (const sim::ChargeTerm &term : terms) {
                 const std::uint32_t cycles = bus.*term.op;
                 if (term.times == sim::Times::Once) {
@@ -59,47 +56,30 @@ TransactionModel::TransactionModel(sim::Scheme scheme,
                 }
                 tenure.usesMemory |= term.op == &bus::BusCosts::memoryAccess;
             }
+            if (tenure.fixed == 0 && tenure.perCopy == 0 &&
+                tenure.perPointer == 0 && tenure.broadcast == 0 &&
+                _overheadQ == 0)
+                continue;
+            row.tenures.at(row.count++) = tenure;
         }
     }
-    for (const sim::AuxRule &rule : table.aux)
-        _aux.push_back({rule.counter, bus.*rule.term.op, rule.counted});
-    _auxCounts.assign(_aux.size(), 0);
-}
-
-void
-TransactionModel::reset()
-{
-    _events.fill(0);
-    _totalRefs = 0;
-    _whWeight = 0;
-    _wmWeight = 0;
-    _auxCounts.assign(_aux.size(), 0);
+    for (const sim::AuxRule &rule : table.aux) {
+        std::size_t c = 0;
+        while (c < coherence::numAuxCounters &&
+               coherence::auxCounterField(
+                   static_cast<coherence::AuxCounter>(c)) != rule.counter)
+            ++c;
+        if (c == coherence::numAuxCounters)
+            throw std::logic_error(
+                "timed bus: charge table prices a counter that "
+                "RefOutcome does not carry");
+        _aux.push_back({c, bus.*rule.term.op, rule.counted});
+    }
 }
 
 RefCharge
-TransactionModel::charge(const EngineResults &r)
+TransactionModel::charge(const coherence::RefOutcome &outcome) const
 {
-    assert(r.events.totalRefs() == _totalRefs + 1 &&
-           "charge() must follow exactly one engine access()");
-
-    // Exactly one event is recorded per reference; find it.
-    Event event = Event::NumEvents;
-    for (std::size_t i = 0; i < coherence::numEvents; ++i) {
-        if (r.events.count(static_cast<Event>(i)) != _events[i]) {
-            event = static_cast<Event>(i);
-            ++_events[i];
-            break;
-        }
-    }
-    assert(event != Event::NumEvents);
-    ++_totalRefs;
-
-    const std::uint64_t wh = r.whClnFanout.totalWeight();
-    const std::uint64_t wm = r.wmClnFanout.totalWeight();
-    const std::uint64_t copies[3] = {0, wh - _whWeight, wm - _wmWeight};
-    _whWeight = wh;
-    _wmWeight = wm;
-
     RefCharge out;
     // Counted tenures carry the overhead q the static model charges
     // per transaction.  Zero-cycle tenures are dropped (they occupy
@@ -114,8 +94,8 @@ TransactionModel::charge(const EngineResults &r)
                 counted);
     };
 
-    const Row &row = _rows[static_cast<std::size_t>(event)];
-    const std::uint64_t k = copies[row.fanout];
+    const Row &row = _rows[static_cast<std::size_t>(outcome.event)];
+    const std::uint64_t k = row.fanout ? outcome.fanout : 0;
     for (unsigned t = 0; t < row.count; ++t) {
         const ResolvedTenure &tenure = row.tenures[t];
         emit(tenure.fixed + k * tenure.perCopy +
@@ -124,13 +104,14 @@ TransactionModel::charge(const EngineResults &r)
              tenure.usesMemory, true);
     }
 
-    for (std::size_t a = 0; a < _aux.size(); ++a) {
-        const std::uint64_t now = r.*_aux[a].counter;
-        const std::uint64_t cycles = (now - _auxCounts[a]) * _aux[a].cycles;
-        _auxCounts[a] = now;
+    if (outcome.auxMask == 0)
+        return out;
+    for (const Aux &aux : _aux) {
+        const std::uint64_t cycles =
+            std::uint64_t(outcome.aux[aux.counter]) * aux.cycles;
         if (cycles == 0)
             continue;
-        if (_aux[a].counted)
+        if (aux.counted)
             emit(cycles, false, true);
         else if (out.count != 0)
             out.txns[out.count - 1].busCycles +=

@@ -6,11 +6,13 @@
  * frequencies; a timed bus needs the charge of *each* reference at the
  * moment it executes.  Both evaluate the same sim::ChargeTable.
  * TransactionModel resolves the table against one bus and one set of
- * cost options when it is built, then recovers each reference's event
- * by diffing the engine's EngineResults across one access() call
- * (exactly one event is recorded per reference, and the fanout and
- * auxiliary counters each change by a knowable delta) and applies that
- * event's row.
+ * cost options when it is built.  The engine reports each reference's
+ * outcome itself (CoherenceEngine::accessRecorded fills one
+ * coherence::RefOutcome per reference: the event, the fanout k and the
+ * aux-counter deltas), and the model applies that event's row to it.
+ * Most references use no bus at all; busFree() recognises them from
+ * the outcome's aux byte and a precomputed empty-row flag, without
+ * assembling a charge.
  *
  * Charge rules, in the order they are applied to one reference:
  *  - the event's tenures, each a counted transaction carrying the
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "bus/bus_model.hh"
+#include "coherence/outcome.hh"
 #include "coherence/results.hh"
 #include "sim/cost_model.hh"
 
@@ -71,12 +74,10 @@ struct RefCharge
 };
 
 /**
- * Stateful per-reference charger for one (scheme, bus) pair.
- *
- * Drive it in lock-step with the engine: after every
- * engine->access(), call charge(engine->results()) to get that
- * reference's bus transactions.  The model snapshots the counters it
- * needs, so the engine must not be shared with another charger.
+ * Per-reference charger for one (scheme, bus) pair: applies the
+ * resolved charge-table row to each reference's coherence::RefOutcome
+ * (see file header).  Stateless once built, so one model may charge
+ * any number of runs.
  *
  * The constructor validates that CostOptions::broadcastCost and
  * ::overheadQ are non-negative integers — the timed model deals in
@@ -88,13 +89,19 @@ class TransactionModel
     TransactionModel(sim::Scheme scheme, const bus::BusCosts &bus,
                      const sim::CostOptions &opts = sim::CostOptions{});
 
-    /** Diff @p results against the snapshot and emit this
-     *  reference's transactions.  Instruction fetches, hits and
-     *  first-reference misses come back empty (for most schemes). */
-    RefCharge charge(const coherence::EngineResults &results);
+    /** @p outcome needs no bus: its event's row is empty and it
+     *  moved no charged aux counter.  charge() of such an outcome is
+     *  empty; the converse need not hold. */
+    bool
+    busFree(const coherence::RefOutcome &outcome) const
+    {
+        return outcome.auxMask == 0 &&
+               _rows[static_cast<std::size_t>(outcome.event)].count == 0;
+    }
 
-    /** Forget the snapshot (call alongside engine->reset()). */
-    void reset();
+    /** The reference's transactions.  Instruction fetches, hits and
+     *  first-reference misses come back empty (for most schemes). */
+    RefCharge charge(const coherence::RefOutcome &outcome) const;
 
     sim::Scheme scheme() const { return _scheme; }
 
@@ -109,18 +116,19 @@ class TransactionModel
         std::uint32_t broadcast = 0;
         bool usesMemory = false;
     };
-    /** One event's row. */
+    /** One event's row, without the tenures that are zero cycles for
+     *  every k (they would be dropped anyway). */
     struct Row
     {
         std::array<ResolvedTenure, 2> tenures;
         std::uint8_t count = 0;
-        /** Where k comes from: 0 none, 1 whClnFanout, 2 wmClnFanout. */
-        std::uint8_t fanout = 0;
+        /** k is the outcome's fanout (else 0: sim::fanoutOf). */
+        bool fanout = false;
     };
     /** One auxiliary rule resolved against the bus. */
     struct Aux
     {
-        std::uint64_t coherence::EngineResults::*counter;
+        std::size_t counter; //!< Index into RefOutcome::aux.
         std::uint32_t cycles;
         bool counted;
     };
@@ -130,15 +138,6 @@ class TransactionModel
     std::uint32_t _overheadQ;
     std::array<Row, coherence::numEvents> _rows;
     std::vector<Aux> _aux;
-
-    /** @name Snapshot of the counters at the previous charge().
-     *  @{ */
-    std::array<std::uint64_t, coherence::numEvents> _events{};
-    std::uint64_t _totalRefs = 0;
-    std::uint64_t _whWeight = 0;
-    std::uint64_t _wmWeight = 0;
-    std::vector<std::uint64_t> _auxCounts;
-    /** @} */
 };
 
 /**

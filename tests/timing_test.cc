@@ -11,13 +11,19 @@
  * deterministic, timed sweeps are bit-identical across worker counts,
  * utilization grows with CPU count, and the arbitration disciplines
  * behave per their contracts (including fixed-priority starvation).
- * The cycle calendar that drives the event loop is held bit-identical
- * to a binary-heap event loop kept here as an oracle.
+ * Two oracles are kept here: the snapshot charger, which recovers
+ * each reference's charge by diffing EngineResults across one
+ * access(), and the binary-heap event loop that drove it.  The
+ * engines' per-reference outcomes must charge exactly what the
+ * snapshot charger does, and the wave-batched, calendar-driven
+ * TimedBusSim must match the heap loop bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -32,6 +38,8 @@
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
+#include "coherence/outcome.hh"
+#include "directory/dir_cache.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
 #include "mem/set_assoc.hh"
@@ -140,6 +148,24 @@ runTimed(const timing::TimedBusConfig &cfg,
 
 // --- Event calendar --------------------------------------------------
 
+/** Consume the lowest-index CPU due this cycle: a one-CPU wave. */
+bool
+popCpu(timing::CycleCalendar &calendar, unsigned &cpu)
+{
+    std::vector<std::uint64_t> wave(calendar.maskWords());
+    if (!calendar.takeWave(wave.data(), true))
+        return false;
+    for (unsigned w = 0; w < wave.size(); ++w) {
+        if (wave[w] != 0) {
+            EXPECT_EQ(wave[w] & (wave[w] - 1), 0u) << "one CPU only";
+            cpu = w * 64 + unsigned(std::countr_zero(wave[w]));
+            return true;
+        }
+    }
+    ADD_FAILURE() << "takeWave returned an empty wave";
+    return false;
+}
+
 TEST(CycleCalendarTest, CompletionPrecedesSameCycleReadies)
 {
     timing::CycleCalendar calendar(4, 2);
@@ -150,9 +176,9 @@ TEST(CycleCalendarTest, CompletionPrecedesSameCycleReadies)
     EXPECT_TRUE(calendar.takeBusCompletion());
     EXPECT_FALSE(calendar.takeBusCompletion());
     unsigned cpu = 0;
-    ASSERT_TRUE(calendar.popCpu(cpu));
+    ASSERT_TRUE(popCpu(calendar, cpu));
     EXPECT_EQ(cpu, 3u);
-    EXPECT_FALSE(calendar.popCpu(cpu));
+    EXPECT_FALSE(popCpu(calendar, cpu));
     EXPECT_FALSE(calendar.advance());
 }
 
@@ -170,7 +196,7 @@ TEST(CycleCalendarTest, ReadiesPopInIndexOrder)
         if (calendar.takeBusCompletion())
             order.emplace_back(calendar.now(), ~0u);
         unsigned cpu;
-        while (calendar.popCpu(cpu))
+        while (popCpu(calendar, cpu))
             order.emplace_back(calendar.now(), cpu);
     }
     const std::vector<std::pair<std::uint64_t, unsigned>> expected = {
@@ -191,7 +217,7 @@ TEST(CycleCalendarTest, ReArmAtCurrentCycleDeliveredSameCycle)
     std::vector<unsigned> delivered;
     unsigned cpu;
     unsigned rearms = 0;
-    while (calendar.popCpu(cpu)) {
+    while (popCpu(calendar, cpu)) {
         delivered.push_back(cpu);
         if (cpu == 2)
             calendar.scheduleCpu(rearms++ < 2 ? 0 : 3, 2);
@@ -200,9 +226,39 @@ TEST(CycleCalendarTest, ReArmAtCurrentCycleDeliveredSameCycle)
 
     ASSERT_TRUE(calendar.advance());
     EXPECT_EQ(calendar.now(), 3u);
-    ASSERT_TRUE(calendar.popCpu(cpu));
+    ASSERT_TRUE(popCpu(calendar, cpu));
     EXPECT_EQ(cpu, 2u);
     EXPECT_FALSE(calendar.advance());
+}
+
+TEST(CycleCalendarTest, WaveTakesTheWholeCycleAndMaskRearms)
+{
+    // Two mask words: one wave takes both, and scheduleMask re-arms
+    // the chosen CPUs later with one mask, clearing it.
+    timing::CycleCalendar calendar(100, 2);
+    for (const unsigned c : {3u, 64u, 99u})
+        calendar.scheduleCpu(0, c);
+    calendar.scheduleCpu(1, 7);
+    ASSERT_TRUE(calendar.advance());
+    std::vector<std::uint64_t> wave(calendar.maskWords());
+    ASSERT_TRUE(calendar.takeWave(wave.data(), false));
+    EXPECT_EQ(wave, (std::vector<std::uint64_t>{
+                        std::uint64_t(1) << 3,
+                        (std::uint64_t(1) << 0) | (std::uint64_t(1) << 35)}));
+    EXPECT_FALSE(calendar.takeWave(wave.data(), false));
+
+    std::vector<std::uint64_t> carry = {std::uint64_t(1) << 3,
+                                        std::uint64_t(1) << 35};
+    calendar.scheduleMask(2, carry.data());
+    EXPECT_EQ(carry, (std::vector<std::uint64_t>{0, 0}));
+    std::vector<std::pair<std::uint64_t, unsigned>> order;
+    unsigned cpu;
+    while (calendar.advance())
+        while (popCpu(calendar, cpu))
+            order.emplace_back(calendar.now(), cpu);
+    const std::vector<std::pair<std::uint64_t, unsigned>> expected = {
+        {1, 7}, {2, 3}, {2, 99}};
+    EXPECT_EQ(order, expected);
 }
 
 TEST(CycleCalendarTest, ClockSkipsIdleCyclesToTheBusCompletion)
@@ -221,12 +277,12 @@ TEST(CycleCalendarTest, ClockSkipsIdleCyclesToTheBusCompletion)
     EXPECT_EQ(calendar.now(), 1002u);
     EXPECT_FALSE(calendar.takeBusCompletion());
     unsigned cpu;
-    ASSERT_TRUE(calendar.popCpu(cpu));
+    ASSERT_TRUE(popCpu(calendar, cpu));
     EXPECT_EQ(cpu, 1u);
     ASSERT_TRUE(calendar.advance());
     EXPECT_EQ(calendar.now(), 1003u);
     EXPECT_TRUE(calendar.takeBusCompletion());
-    EXPECT_FALSE(calendar.popCpu(cpu));
+    EXPECT_FALSE(popCpu(calendar, cpu));
 }
 
 // --- Arbiters --------------------------------------------------------
@@ -672,6 +728,367 @@ TEST(ContentionTest, PreparedRunRejectsMismatchedDecode)
     EXPECT_THROW(sim.run(*wrongBlock), std::invalid_argument);
 }
 
+// --- Differential oracle: the snapshot charger ------------------------
+
+/**
+ * The per-reference charger the outcome path replaced, kept here as
+ * an oracle: it recovers a reference's event, fanout k and aux deltas
+ * by diffing the engine's EngineResults across exactly one access()
+ * call, then applies the same sim::ChargeTable row.  It never sees a
+ * RefOutcome, so it checks the engines' sink reporting as well as
+ * TransactionModel::charge().
+ */
+class SnapshotCharger
+{
+  public:
+    SnapshotCharger(sim::Scheme scheme, const bus::BusCosts &bus,
+                    const sim::CostOptions &opts)
+        : _nPointers(opts.nPointers),
+          _overheadQ(static_cast<std::uint32_t>(opts.overheadQ))
+    {
+        const auto broadcast =
+            static_cast<std::uint32_t>(opts.broadcastCost);
+        const sim::ChargeTable &table =
+            sim::chargeTable(scheme, _nPointers);
+        for (std::size_t e = 0; e < coherence::numEvents; ++e) {
+            Row &row = _rows[e];
+            const sim::Fanout fanout =
+                sim::fanoutOf(static_cast<coherence::Event>(e));
+            row.fanout =
+                fanout == nullptr                                  ? 0
+                : fanout == &coherence::EngineResults::whClnFanout ? 1
+                                                                   : 2;
+            for (const sim::Tenure &terms : table.events[e]) {
+                Tenure &tenure = row.tenures.at(row.count++);
+                for (const sim::ChargeTerm &term : terms) {
+                    const std::uint32_t cycles = bus.*term.op;
+                    if (term.times == sim::Times::Once) {
+                        tenure.fixed += cycles;
+                    } else if (term.times == sim::Times::Copies) {
+                        tenure.perCopy += cycles;
+                    } else {
+                        tenure.perPointer += cycles;
+                        tenure.broadcast += broadcast;
+                    }
+                    tenure.usesMemory |=
+                        term.op == &bus::BusCosts::memoryAccess;
+                }
+            }
+        }
+        for (const sim::AuxRule &rule : table.aux)
+            _aux.push_back({rule.counter, bus.*rule.term.op,
+                            rule.counted});
+        _auxCounts.assign(_aux.size(), 0);
+    }
+
+    /** Diff @p r against the snapshot taken at the previous call. */
+    timing::RefCharge
+    charge(const coherence::EngineResults &r)
+    {
+        EXPECT_EQ(r.events.totalRefs(), _totalRefs + 1)
+            << "charge() must follow exactly one engine access()";
+        ++_totalRefs;
+
+        // Exactly one event is recorded per reference; find it.
+        std::size_t event = coherence::numEvents;
+        for (std::size_t i = 0; i < coherence::numEvents; ++i) {
+            const auto e = static_cast<coherence::Event>(i);
+            if (r.events.count(e) != _events[i]) {
+                event = i;
+                ++_events[i];
+                break;
+            }
+        }
+        EXPECT_LT(event, coherence::numEvents);
+        if (event == coherence::numEvents)
+            return {};
+
+        const std::uint64_t wh = r.whClnFanout.totalWeight();
+        const std::uint64_t wm = r.wmClnFanout.totalWeight();
+        const std::uint64_t copies[3] = {0, wh - _whWeight,
+                                         wm - _wmWeight};
+        _whWeight = wh;
+        _wmWeight = wm;
+
+        timing::RefCharge out;
+        const auto emit = [&](std::uint64_t cycles, bool usesMemory,
+                              bool counted) {
+            if (counted)
+                cycles += _overheadQ;
+            if (cycles == 0)
+                return;
+            out.add(static_cast<std::uint32_t>(cycles), usesMemory,
+                    counted);
+        };
+        const Row &row = _rows[event];
+        const std::uint64_t k = copies[row.fanout];
+        for (unsigned t = 0; t < row.count; ++t) {
+            const Tenure &tenure = row.tenures[t];
+            emit(tenure.fixed + k * tenure.perCopy +
+                     (k <= _nPointers ? k * tenure.perPointer
+                                      : tenure.broadcast),
+                 tenure.usesMemory, true);
+        }
+        for (std::size_t a = 0; a < _aux.size(); ++a) {
+            const std::uint64_t now = r.*_aux[a].counter;
+            const std::uint64_t cycles =
+                (now - _auxCounts[a]) * _aux[a].cycles;
+            _auxCounts[a] = now;
+            if (cycles == 0)
+                continue;
+            if (_aux[a].counted)
+                emit(cycles, false, true);
+            else if (out.count != 0)
+                out.txns[out.count - 1].busCycles +=
+                    static_cast<std::uint32_t>(cycles);
+            else
+                emit(cycles, false, false);
+        }
+        return out;
+    }
+
+  private:
+    struct Tenure
+    {
+        std::uint32_t fixed = 0;
+        std::uint32_t perCopy = 0;
+        std::uint32_t perPointer = 0;
+        std::uint32_t broadcast = 0;
+        bool usesMemory = false;
+    };
+    struct Row
+    {
+        std::array<Tenure, 2> tenures;
+        std::uint8_t count = 0;
+        std::uint8_t fanout = 0; //!< 0 none, 1 wh, 2 wm.
+    };
+    struct Aux
+    {
+        std::uint64_t coherence::EngineResults::*counter;
+        std::uint32_t cycles;
+        bool counted;
+    };
+
+    unsigned _nPointers;
+    std::uint32_t _overheadQ;
+    std::array<Row, coherence::numEvents> _rows;
+    std::vector<Aux> _aux;
+    std::array<std::uint64_t, coherence::numEvents> _events{};
+    std::uint64_t _totalRefs = 0;
+    std::uint64_t _whWeight = 0;
+    std::uint64_t _wmWeight = 0;
+    std::vector<std::uint64_t> _auxCounts;
+};
+
+std::string
+describe(const timing::RefCharge &charge)
+{
+    std::string out = "{";
+    for (unsigned t = 0; t < charge.count; ++t)
+        out += " " + std::to_string(charge.txns[t].busCycles) +
+               (charge.txns[t].usesMemory ? "m" : "") +
+               (charge.txns[t].counted ? "" : "u");
+    return out + " }";
+}
+
+/**
+ * Replays @p prepared's per-CPU streams round-robin, one reference
+ * per CPU per wave, through two copies of one engine: @p outcomeEngine
+ * one accessRecorded() call per wave, charged by TransactionModel, and
+ * @p snapshotEngine one access() per reference, charged by the
+ * snapshot oracle.  Every reference's charge must agree, and busFree()
+ * must only ever claim references whose charge is empty.
+ */
+void
+expectOutcomeChargesMatchSnapshot(
+    sim::Scheme scheme, const sim::CostOptions &opts,
+    const bus::BusCosts &bus, const trace::PreparedTrace &prepared,
+    coherence::CoherenceEngine &outcomeEngine,
+    coherence::CoherenceEngine &snapshotEngine, const std::string &label)
+{
+    const timing::TransactionModel model(scheme, bus, opts);
+    SnapshotCharger oracle(scheme, bus, opts);
+    outcomeEngine.reset();
+    snapshotEngine.reset();
+
+    const auto &streams = prepared.cpuStreams();
+    std::vector<std::size_t> next(streams.size(), 0);
+    std::vector<std::uint32_t> block(streams.size());
+    std::vector<std::uint8_t> unit(streams.size()), typeFlags(streams.size());
+    std::vector<coherence::RefOutcome> outcomes(streams.size());
+    std::uint64_t refs = 0, tenures = 0, mismatches = 0;
+    for (;;) {
+        std::size_t n = 0;
+        for (std::size_t cpu = 0; cpu < streams.size(); ++cpu) {
+            if (next[cpu] == streams[cpu].size())
+                continue;
+            block[n] = streams[cpu].block[next[cpu]];
+            unit[n] = streams[cpu].unit[next[cpu]];
+            typeFlags[n] = streams[cpu].typeFlags[next[cpu]];
+            ++next[cpu];
+            ++n;
+        }
+        if (n == 0)
+            break;
+        outcomeEngine.accessRecorded(
+            coherence::PreparedSlice{block.data(), unit.data(),
+                                     typeFlags.data(), n},
+            outcomes.data());
+        for (std::size_t i = 0; i < n; ++i, ++refs) {
+            snapshotEngine.access(unit[i],
+                                  trace::packedRefType(typeFlags[i]),
+                                  block[i]);
+            const timing::RefCharge expected =
+                oracle.charge(snapshotEngine.results());
+            const timing::RefCharge got = model.charge(outcomes[i]);
+            const bool same =
+                describe(got) == describe(expected) &&
+                (!model.busFree(outcomes[i]) || expected.empty());
+            tenures += expected.count;
+            if (!same && ++mismatches <= 3)
+                ADD_FAILURE()
+                    << label << ": reference " << refs << " charged "
+                    << describe(got) << " (bus-free "
+                    << model.busFree(outcomes[i]) << "), oracle "
+                    << describe(expected);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << label;
+    EXPECT_EQ(refs, prepared.totalRefs()) << label;
+    EXPECT_GT(tenures, 0u) << label;
+    EXPECT_TRUE(outcomeEngine.results() == snapshotEngine.results())
+        << label;
+}
+
+/** @p workload decoded with timed per-CPU streams. */
+trace::PreparedTrace
+timedPrepared(const gen::WorkloadConfig &workload)
+{
+    trace::PrepareOptions prep;
+    prep.timedStreams = true;
+    return trace::PreparedTrace::build(gen::generateTrace(workload), prep);
+}
+
+/** Sixteen processes on sixteen CPUs: enough sharers that Dir2B's
+ *  fanout passes i and broadcasts. */
+gen::WorkloadConfig
+sixteenCpuWorkload()
+{
+    return gen::scaledConfig(16, 16 * 1'500);
+}
+
+/**
+ * Every scheme on the engine it is costed from (BerkeleyOwn on the
+ * ownership engine), at i = 2 and 4, with and without overhead q, on
+ * both buses: the outcome-driven charge equals the snapshot oracle
+ * reference by reference.
+ */
+TEST(OutcomeChargeTest, EverySchemeMatchesSnapshotOracle)
+{
+    for (const auto &workload : {fourCpuWorkload(), sixteenCpuWorkload()}) {
+        const trace::PreparedTrace prepared = timedPrepared(workload);
+        const unsigned units = workload.space.nProcesses;
+        for (const sim::Scheme scheme : allSchemes) {
+            for (const unsigned i : {2u, 4u}) {
+                for (const double q : {0.0, 1.0}) {
+                    sim::CostOptions opts = testOpts();
+                    opts.nPointers = i;
+                    opts.overheadQ = q;
+                    for (const auto &bus : {timing::timedPipelinedBus(),
+                                            timing::timedNonPipelinedBus()}) {
+                        const auto a = engineFor(scheme, units, i);
+                        const auto b = engineFor(scheme, units, i);
+                        expectOutcomeChargesMatchSnapshot(
+                            scheme, opts, bus.costs, prepared, *a, *b,
+                            sim::schemeName(scheme, i) + " / q " +
+                                std::to_string(int(q)) + " / " +
+                                bus.costs.name + " / " +
+                                std::to_string(units) + " units");
+                        // The aux rules the outcome must carry.
+                        if (scheme == sim::Scheme::YenFu) {
+                            EXPECT_GT(a->results().holderGrowth12, 0u);
+                        }
+                        if (scheme == sim::Scheme::DirIB && units > 4 &&
+                            i == 2) {
+                            const auto &r = a->results();
+                            EXPECT_GT(std::max(r.whClnFanout.maxValue(),
+                                               r.wmClnFanout.maxValue()),
+                                      i)
+                                << "no DiriB broadcast";
+                        }
+                        if (scheme == sim::Scheme::DirINB && i < units) {
+                            EXPECT_GT(a->results().displacementInvals,
+                                      0u);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Finite set-associative caches: replacement write-backs fold into
+ *  the tenures of the references that cause them. */
+TEST(OutcomeChargeTest, FiniteCachesMatchSnapshotOracle)
+{
+    const auto workload = fourCpuWorkload();
+    const trace::PreparedTrace prepared = timedPrepared(workload);
+    const unsigned units = workload.space.nProcesses;
+    for (const sim::Scheme scheme : allSchemes) {
+        if (sim::engineKindFor(scheme) != sim::EngineKind::Inval)
+            continue;
+        const auto a = finiteInvalEngine(units);
+        const auto b = finiteInvalEngine(units);
+        expectOutcomeChargesMatchSnapshot(
+            scheme, testOpts(), bus::standardBuses().pipelined, prepared,
+            *a, *b, sim::schemeName(scheme, 2) + " / finite");
+        EXPECT_GT(a->results().replacementWriteBacks, 0u);
+    }
+}
+
+/** A finite directory cache: eviction invalidates and dirty-victim
+ *  write-backs, on the invalidation and the DiriNB engines. */
+TEST(OutcomeChargeTest, DirectoryCacheMatchesSnapshotOracle)
+{
+    const auto workload = fourCpuWorkload();
+    const trace::PreparedTrace prepared = timedPrepared(workload);
+    const unsigned units = workload.space.nProcesses;
+    directory::DirCacheConfig dirCache;
+    dirCache.enabled = true;
+    dirCache.entries = 64;
+    dirCache.associativity = 4;
+    const auto inval = [&] {
+        coherence::InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        cfg.dirCache = dirCache;
+        return std::make_unique<coherence::InvalEngine>(cfg);
+    };
+    for (const sim::Scheme scheme : allSchemes) {
+        std::unique_ptr<coherence::CoherenceEngine> a, b;
+        switch (sim::engineKindFor(scheme)) {
+          case sim::EngineKind::Inval:
+            a = inval();
+            b = inval();
+            break;
+          case sim::EngineKind::Limited: {
+            const unsigned i = scheme == sim::Scheme::Dir1NB ? 1 : 2;
+            a = std::make_unique<coherence::LimitedEngine>(units, i,
+                                                           dirCache);
+            b = std::make_unique<coherence::LimitedEngine>(units, i,
+                                                           dirCache);
+            break;
+          }
+          default:
+            continue;
+        }
+        expectOutcomeChargesMatchSnapshot(
+            scheme, testOpts(), bus::standardBuses().pipelined, prepared,
+            *a, *b, sim::schemeName(scheme, 2) + " / dir cache");
+        EXPECT_GT(a->results().dirCacheEvictionInvals, 0u);
+        EXPECT_GT(a->results().dirCacheEvictionWriteBacks, 0u);
+    }
+}
+
 // --- Differential oracle: the binary-heap event loop -----------------
 
 /**
@@ -730,8 +1147,7 @@ heapOracleRun(const timing::TimedBusConfig &cfg,
               const trace::PreparedTrace &prepared)
 {
     using Kind = HeapEventQueue::Kind;
-    timing::TransactionModel model(cfg.scheme, cfg.bus.costs,
-                                   cfg.costOpts);
+    SnapshotCharger model(cfg.scheme, cfg.bus.costs, cfg.costOpts);
     engine.reset();
 
     std::vector<trace::PreparedCpuStreamCursor> cursors;
@@ -786,7 +1202,8 @@ heapOracleRun(const timing::TimedBusConfig &cfg,
                 continue;
             }
             const timing::PortRef ref = port.takeRef();
-            engine.access(ref.unit, ref.type, ref.block);
+            engine.access(ref.unit, trace::packedRefType(ref.typeFlags),
+                          ref.block);
             const timing::RefCharge charge =
                 model.charge(engine.results());
             if (charge.empty()) {
@@ -849,7 +1266,8 @@ expectCalendarMatchesHeapOracle(const trace::MemoryTrace &trace,
     const auto stored = trace::StoredTrace::open(file.path);
 
     for (const sim::Scheme scheme :
-         {sim::Scheme::Dir0B, sim::Scheme::WTI, sim::Scheme::Dragon}) {
+         {sim::Scheme::Dir0B, sim::Scheme::WTI, sim::Scheme::Dragon,
+          sim::Scheme::Dir1NB, sim::Scheme::DirINB}) {
         for (const auto &bus : {timing::timedPipelinedBus(),
                                 timing::timedNonPipelinedBus()}) {
             for (const auto d : {timing::Discipline::FCFS,
